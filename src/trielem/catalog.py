@@ -4,7 +4,8 @@ Catalog names: U, A<n> (n >= 1), D<n> (n >= 4), E6, E7, E8, E6*(3), K3.
 Root lattices use the negated Cartan matrix, so they are even and negative
 definite; K3 is U+U+U+E8+E8.  Expressions look like ``U(3)+A2^4``: ``(m)``
 rescales by m, ``^k`` repeats a summand, ``+`` (or a circled plus) joins
-direct summands.
+direct summands.  A name, power or sum of rank above ``lattice.MAX_RANK``
+raises RankTooLarge before its Gram matrix is built.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError, UnknownName
-from .lattice import Lattice
+from .lattice import Lattice, check_rank
 from .linalg import Matrix, rational_inverse
 
 
@@ -70,11 +71,13 @@ def _base_gram(token: str):
         return [list(row) for row in rational_inverse(Matrix(_gram_e(6))).entries]
     if token[0] == "A":
         n = int(token[1:])
+        check_rank(n, token)
         if n < 1:
             raise UnknownName(f"{token}: A-series needs n >= 1")
         return _gram_a(n)
     if token[0] == "D":
         n = int(token[1:])
+        check_rank(n, token)
         if n < 4:
             raise UnknownName(f"{token}: D-series needs n >= 4")
         return _gram_d(n)
@@ -116,6 +119,7 @@ def parse_expr(text: str) -> Lattice:
 
     blocks: list[list] = []
     labels: list[str] = []
+    rank = 0
     while True:
         skip_ws()
         match = _BASE_RE.match(src, pos)
@@ -152,6 +156,7 @@ def parse_expr(text: str) -> Lattice:
                     raise ParseError("expected a positive repeat count", pos)
                 k = int(mi.group(0))
                 pos = mi.end()
+                check_rank(gram.nrows * k, f"{label}^{k}")
                 rows = [list(r) for r in gram.entries]
                 gram = Matrix(_block_diag([rows] * k))
                 label += f"^{k}"
@@ -162,6 +167,8 @@ def parse_expr(text: str) -> Lattice:
                 f"{label} has a non-integer Gram matrix; scale it by a multiple of 3",
                 start,
             )
+        rank += gram.nrows
+        check_rank(rank, "+".join(labels + [label]))
         blocks.append([list(r) for r in gram.to_int().entries])
         labels.append(label)
         skip_ws()

@@ -50,10 +50,10 @@ class CommandResult:
 
 
 def _load_lattice(spec: str):
-    """A lattice expression, or a path to a JSON file {"name", "gram"}."""
-    path = Path(spec)
-    if spec.endswith(".json") or path.is_file():
-        return lattice_from_dict(json.loads(path.read_text()))
+    """A path ending in ``.json`` to a file {"name", "gram"}, else a lattice
+    expression (even when a file of that name exists)."""
+    if spec.endswith(".json"):
+        return lattice_from_dict(json.loads(Path(spec).read_text()))
     return parse_expr(spec)
 
 

@@ -65,7 +65,8 @@ class NotDefinite(TrielemError):
 
 
 class RankTooLarge(TrielemError):
-    """Exhaustive enumeration is guarded to small ranks."""
+    """The rank is above a limit: MAX_RANK for any input lattice, or the
+    small-rank guard on exhaustive enumeration."""
 
 
 class InvalidRho(TrielemError):

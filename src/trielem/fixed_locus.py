@@ -210,13 +210,10 @@ def euler_fiber_sum(config) -> tuple[int, bool]:
     return total, total == 24
 
 
-def fiber_counts(rho: int, has_section: bool = True) -> tuple[int, int]:
+def fiber_counts(rho: int) -> tuple[int, int]:
     """(type-II count, type-IV count) for a low Picard number fibration
     whose singular fibers are all of those two types: 14 - rho fibers of
     type II and (rho-2)/2 of type IV, filling Euler number 24.
-
-    ``has_section`` does not change the counts; it records which relation
-    ties (rho-2)/2 to the generator count (s with a section, s-2 without).
     """
     if rho % 2 or not 2 <= rho < 8:
         raise InvalidRho(f"Picard number {rho} is not an even number in [2, 8)")

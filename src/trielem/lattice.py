@@ -5,11 +5,17 @@ A lattice here is a free Z-module carrying a symmetric integer Gram matrix.
 When the form is nondegenerate the lattice sits inside its dual with finite
 quotient; that quotient, together with the induced Q/2Z-valued quadratic
 form on it, is the invariant the classification machinery matches.
+
+On a 3-elementary group, q is fixed by the F_3 normal form (s, det B mod 3)
+of B = 3*b on the generators (Nikulin 1979, §1; Conway-Sloane, SPLAG ch. 15),
+so the opposite-form match and the Gauss sum need no element list.  Other
+groups, such as the 2-elementary ones of D4, A1^8 and E7+A1^3, sum q over
+all |A| elements.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -17,8 +23,18 @@ from itertools import product
 from math import lcm, prod
 
 from .cyclotomic import Cyclotomic
-from .errors import Degenerate, NotElementary, NotEven, NotSymmetric, ZeroScale
-from .linalg import Matrix, determinant, pair_value, signature, smith_normal_form
+from .errors import Degenerate, NotElementary, NotEven, NotSymmetric, RankTooLarge, ZeroScale
+from .linalg import Matrix, determinant, signature, smith_normal_form
+
+# Largest rank accepted from an expression or a JSON file (the K3 lattice has
+# rank 22); checked before the Gram matrix is allocated.
+MAX_RANK = 64
+
+
+def check_rank(rank: int, label: str) -> None:
+    """Raise RankTooLarge when ``rank`` exceeds MAX_RANK."""
+    if rank > MAX_RANK:
+        raise RankTooLarge(f"{label}: rank {rank} exceeds the limit of {MAX_RANK}")
 
 
 @dataclass(frozen=True, repr=False)
@@ -47,10 +63,6 @@ class Lattice:
     def __repr__(self):
         label = self.name if self.name else f"rank {self.rank}"
         return f"Lattice({label})"
-
-
-def det(lat: Lattice) -> int:
-    return int(determinant(lat.gram))
 
 
 def is_even(lat: Lattice) -> bool:
@@ -162,14 +174,15 @@ def is_p_elementary(lat: Lattice, p: int) -> bool:
 class FiniteQuadraticForm:
     """Q/2Z-valued quadratic form on a discriminant group.
 
-    ``q_values`` maps every coefficient tuple to its value as a Fraction in
-    [0, 2); ``bilinear_values`` holds the associated pairing on generator
-    pairs with values in [0, 1).  ``lattice_signature`` is the eigenvalue
-    sign count of the source lattice, carried along for the Gauss-sum check.
+    ``q_values`` is a read-only mapping from every coefficient tuple to its
+    value as a Fraction in [0, 2), evaluated on lookup; ``bilinear_values``
+    holds the associated pairing on generator pairs with values in [0, 1).
+    ``lattice_signature`` is the eigenvalue sign count of the source lattice,
+    carried along for the Gauss-sum check.
     """
 
     group: DiscriminantGroup
-    q_values: dict
+    q_values: Mapping
     bilinear_values: Matrix
     lattice_signature: tuple[int, int, int]
 
@@ -177,108 +190,112 @@ class FiniteQuadraticForm:
         return f"FiniteQuadraticForm(factors={list(self.group.invariant_factors)})"
 
 
+class _QValues(Mapping):
+    """q(sum c_i g_i) = sum_ij c_i c_j g_i.G g_j mod 2, from the exact
+    generator pairings, which lie in (1/e)Z for the group exponent e,
+    scaled by e to integers."""
+
+    def __init__(self, group: DiscriminantGroup, e: int, pairs):
+        self.group, self.e, self.pairs = group, e, pairs
+
+    def __getitem__(self, coeffs):
+        dims = self.group.invariant_factors
+        if len(coeffs) != len(dims) or not all(0 <= c < d for c, d in zip(coeffs, dims)):
+            raise KeyError(coeffs)
+        acc = sum(ci * cj * x for ci, row in zip(coeffs, self.pairs) for cj, x in zip(coeffs, row))
+        return Fraction(acc % (2 * self.e), self.e)
+
+    def __iter__(self):
+        return self.group.elements()
+
+    def __len__(self):
+        return self.group.order
+
+
 @lru_cache(maxsize=None)
 def discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
-    """Evaluate the discriminant quadratic form on every group element.
+    """The discriminant quadratic form, from its values on the generators.
 
-    q(x) = x^T G x mod 2Z on any coset representative; well defined because
-    the lattice is even.  Values on general elements are expanded from the
-    generator values and pairings with rescaled integer arithmetic, so the
-    full table costs O(|A| * s) small-int operations.
+    W_i = d_i * g_i is an integer vector, so the pairing g_i.G g_j is
+    W_i.(G W_j) / (d_i d_j): one integer product G W_j per generator.  q is
+    well defined mod 2 because the lattice is even.
     """
     if not is_even(lat):
         raise NotEven("the discriminant form needs an even lattice")
     group = discriminant_group(lat)
-    gens = group.generators
-    g = lat.gram
-    s = group.s
-    q_gen = [Fraction(pair_value(g, w, w)) % 2 for w in gens]
-    b_gen = [[Fraction(pair_value(g, w1, w2)) % 1 for w2 in gens] for w1 in gens]
-
-    den = 1
-    for x in q_gen:
-        den = lcm(den, x.denominator)
-    for row in b_gen:
-        for x in row:
-            den = lcm(den, x.denominator)
-    q_scaled = [int(x * den) for x in q_gen]
-    b_scaled = [[int(x * den) for x in row] for row in b_gen]
-    mod = 2 * den
     dims = group.invariant_factors
-
-    values: dict = {}
-    prefix = [0] * s
-
-    def walk(i, acc, lin):
-        if i == s:
-            values[tuple(prefix)] = Fraction(acc, den)
-            return
-        qi = q_scaled[i]
-        bi = b_scaled[i]
-        for c in range(dims[i]):
-            prefix[i] = c
-            if c == 0:
-                walk(i + 1, acc, lin)
-            else:
-                acc_c = (acc + c * c * qi + 2 * c * lin[i]) % mod
-                lin_c = [(lin[k] + c * bi[k]) % den for k in range(s)]
-                walk(i + 1, acc_c, lin_c)
-        prefix[i] = 0
-
-    walk(0, 0, [0] * s)
+    e = max(dims, default=1)
+    ws = [[int(d * x) for x in gen] for d, gen in zip(dims, group.generators)]
+    gws = [lat.gram.mul_vec(w) for w in ws]
+    pairs = [
+        [sum(a * b for a, b in zip(wi, gw)) * e // (di * dj) for gw, dj in zip(gws, dims)]
+        for wi, di in zip(ws, dims)
+    ]
     return FiniteQuadraticForm(
         group=group,
-        q_values=values,
-        bilinear_values=Matrix(b_gen),
-        lattice_signature=signature(g),
+        q_values=_QValues(group, e, pairs),
+        bilinear_values=Matrix([[Fraction(x, e) % 1 for x in row] for row in pairs]),
+        lattice_signature=signature(lat.gram),
     )
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
+def _quadratic_sum(m: int, p: int, c: int) -> Cyclotomic:
+    """The sum of zeta_p^(c*t*t) over t in F_p, in Z[zeta_m]."""
+    terms = [0] * m
+    for t in range(p):
+        terms[(c * t * t % p) * (m // p)] += 1
+    return Cyclotomic(m, terms)
+
+
+def _sqrt_as_cyclotomic(n: int, m: int) -> Cyclotomic:
+    """sqrt(n) for n >= 1, written exactly in Z[zeta_m].
+
+    Each prime p dividing n to an odd power contributes sqrt(p):
+    sqrt(2) = zeta_8 + zeta_8^-1, and for odd p the quadratic Gauss sum
+    sum_t zeta_p^(t*t) equals sqrt(p) or i*sqrt(p) according to p mod 4.
+    """
+    out = Cyclotomic.integer(m, 1)
     p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _square_and_squarefree(n: int) -> tuple[int, int]:
-    """n = a*a*b with b squarefree; returns (a, b)."""
-    a, b = 1, 1
-    for p in _prime_factors(n):
+    while n > 1:
+        if p * p > n:
+            p = n
         e = 0
         while n % p == 0:
             n //= p
             e += 1
-        a *= p ** (e // 2)
-        b *= p ** (e % 2)
-    return a, b
-
-
-def _sqrt_as_cyclotomic(b: int, m: int) -> Cyclotomic:
-    """sqrt(b) for squarefree b >= 1, written exactly in Z[zeta_m].
-
-    sqrt(2) = zeta_8 + zeta_8^-1; for odd p the quadratic Gauss sum
-    sum_t zeta_p^(t*t) equals sqrt(p) or i*sqrt(p) according to p mod 4.
-    """
-    out = Cyclotomic.integer(m, 1)
-    if b % 2 == 0:
-        out = out * (Cyclotomic.root(m, m // 8) + Cyclotomic.root(m, -(m // 8)))
-        b //= 2
-    for p in _prime_factors(b):
-        gauss = Cyclotomic.integer(m, 0)
-        for t in range(p):
-            gauss = gauss + Cyclotomic.root(m, (t * t % p) * (m // p))
-        if p % 4 == 3:
-            gauss = gauss * Cyclotomic.root(m, -(m // 4))
-        out = out * gauss
+        out = out * p ** (e // 2)
+        if e % 2 and p == 2:
+            out = out * (Cyclotomic.root(m, m // 8) + Cyclotomic.root(m, -(m // 8)))
+        elif e % 2:
+            out = out * _quadratic_sum(m, p, 1)
+            if p % 4 == 3:
+                out = out * Cyclotomic.root(m, -(m // 4))
+        p += 1
     return out
+
+
+def _det_mod3(form: FiniteQuadraticForm) -> int:
+    """det B mod 3 for B = 3*b on the generators.  Over F_3, B is congruent
+    to diag(1, ..., 1, det B), so (s, det B mod 3) is its normal form."""
+    return int(determinant(form.bilinear_values.scaled(3).to_int())) % 3
+
+
+def _gauss_sum(form: FiniteQuadraticForm, m: int) -> Cyclotomic:
+    """The sum of exp(pi*i*q(x)) over the group, in Z[zeta_m].
+
+    On (Z/3)^s, exp(pi*i*q(x)) = zeta_3^(B(x,x)/2), so over the normal form
+    diag(1, ..., 1, det B) the sum is a product of s three-term sums of
+    zeta_3^(2*a*t*t), t in F_3.  Other groups sum over every element.
+    """
+    if set(form.group.invariant_factors) != {3}:
+        terms = [0] * m
+        for val in form.q_values.values():
+            terms[val.numerator * (m // (2 * val.denominator))] += 1
+        return Cyclotomic(m, terms)
+    total = Cyclotomic.integer(m, 1)
+    for a in [1] * (form.group.s - 1) + [_det_mod3(form)]:
+        total = total * _quadratic_sum(m, 3, 2 * a)
+    return total
 
 
 def milgram_holds(form: FiniteQuadraticForm) -> bool:
@@ -286,46 +303,27 @@ def milgram_holds(form: FiniteQuadraticForm) -> bool:
 
     The sum of exp(pi*i*q(x)) over the group must equal
     sqrt(|A|) * exp(2*pi*i*sigma/8).  Both sides are evaluated in Z[zeta_m]
-    for an m large enough to contain every term (m = 24 for 3-elementary
-    forms), so the comparison is exact.
+    with m = lcm(8, 4e), e the group exponent, which contains every term
+    (m = 24 for 3-elementary forms), so the comparison is exact.
     """
-    counts = Counter(form.q_values.values())
-    order = form.group.order
     plus, _, minus = form.lattice_signature
-    sigma = plus - minus
-    m = 8
-    for val in counts:
-        m = lcm(m, 2 * val.denominator)
-    square, squarefree = _square_and_squarefree(order)
-    for p in _prime_factors(squarefree):
-        m = lcm(m, 8 if p == 2 else 4 * p)
-    lhs = Cyclotomic.integer(m, 0)
-    for val, count in sorted(counts.items()):
-        lhs = lhs + count * Cyclotomic.root(m, val.numerator * (m // (2 * val.denominator)))
-    rhs = square * _sqrt_as_cyclotomic(squarefree, m)
-    rhs = rhs * Cyclotomic.root(m, (sigma % 8) * (m // 8))
-    return lhs == rhs
+    m = lcm(8, 4 * max(form.group.invariant_factors, default=1))
+    rhs = _sqrt_as_cyclotomic(form.group.order, m)
+    rhs = rhs * Cyclotomic.root(m, ((plus - minus) % 8) * (m // 8))
+    return _gauss_sum(form, m) == rhs
 
 
-def forms_match_opposite(
-    form_s: FiniteQuadraticForm, form_t: FiniteQuadraticForm
-) -> bool:
-    """Do two 3-elementary forms glue, i.e. is one the other's negative?
+def forms_match_opposite(form_s: FiniteQuadraticForm, form_t: FiniteQuadraticForm) -> bool:
+    """Do two 3-elementary forms glue, i.e. is q_S isometric to -q_T?
 
-    Checks equal invariant factors and equality of the value multisets
-    {q_s(x)} and {-q_t(y) mod 2}; for 3-elementary forms the rank and value
-    distribution pin down the isomorphism class.  Both sides must also pass
-    the Gauss-sum identity, which ties the forms to their signatures.
+    Forms over F_3 are isometric iff they have equal rank s and equal
+    det B mod 3, and negating B multiplies det B by (-1)^s.
     """
-    for form in (form_s, form_t):
-        if any(d != 3 for d in form.group.invariant_factors):
-            raise NotElementary("both forms must live on 3-elementary groups")
-    if form_s.group.invariant_factors != form_t.group.invariant_factors:
-        return False
-    negated = Counter((-v) % 2 for v in form_t.q_values.values())
-    if Counter(form_s.q_values.values()) != negated:
-        return False
-    return milgram_holds(form_s) and milgram_holds(form_t)
+    if any(d != 3 for form in (form_s, form_t) for d in form.group.invariant_factors):
+        raise NotElementary("both forms must live on 3-elementary groups")
+    s = form_s.group.s
+    det_t = (-1) ** s * _det_mod3(form_t) % 3
+    return form_t.group.s == s and _det_mod3(form_s) == det_t
 
 
 def lattice_from_dict(data) -> Lattice:
@@ -335,6 +333,7 @@ def lattice_from_dict(data) -> Lattice:
     gram = data["gram"]
     if not isinstance(gram, list) or not all(isinstance(r, list) for r in gram):
         raise ValueError('"gram" must be a list of rows')
+    check_rank(len(gram), '"gram"')
     for row in gram:
         for x in row:
             if not isinstance(x, int) or isinstance(x, bool):

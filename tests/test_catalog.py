@@ -1,7 +1,7 @@
 import pytest
 
 from trielem.catalog import build, parse_expr
-from trielem.errors import ParseError, UnknownName
+from trielem.errors import ParseError, RankTooLarge, UnknownName
 from trielem.lattice import discriminant_group, is_even
 from trielem.linalg import Matrix, determinant, signature
 
@@ -125,3 +125,11 @@ class TestParse:
         assert group.s == 7
         assert abs(determinant(lat.gram)) == 3**7
         assert all(d == 3 for d in group.invariant_factors)
+
+    def test_rank_cap(self):
+        assert parse_expr("U^32").rank == 64
+        for expr in ("A65", "D65", "U^33", "E8^8+U", "A2+A63"):
+            with pytest.raises(RankTooLarge):
+                parse_expr(expr)
+        with pytest.raises(RankTooLarge):
+            build("A65")

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from trielem.catalog import parse_expr
@@ -113,6 +114,29 @@ class TestLatticeInfo:
     def test_parse_error_is_exit_2(self):
         assert run(["lattice", "U+"]).exit_code == 2
         assert run(["lattice", "Q7"]).exit_code == 2
+
+    def test_expression_not_read_from_file(self, tmp_path, monkeypatch):
+        # only a .json suffix selects a file, so a file named U is ignored
+        (tmp_path / "U").write_text(json.dumps({"name": "one", "gram": [[2]]}))
+        monkeypatch.chdir(tmp_path)
+        info = json.loads(run(["lattice", "U", "--format", "json"]).payload)
+        assert (info["name"], info["rank"]) == ("U", 2)
+
+    def test_rank_cap_is_exit_2(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"gram": [[0] * 65] * 65}))
+        for spec in ("A65", str(path)):
+            result = run(["lattice", spec])
+            assert result.exit_code == 2, spec
+            assert "exceeds the limit of 64" in result.payload
+
+    def test_large_group_needs_no_enumeration(self):
+        # |A| = 3^22; the form is read off its generators
+        start = time.perf_counter()
+        result = run(["lattice", "U(3)^11"])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 0
+        assert "q on generators: [" + ", ".join(["0"] * 22) + "]" in result.payload
 
 
 class TestVerifyPair:

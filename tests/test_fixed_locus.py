@@ -303,9 +303,9 @@ class TestKodaira:
 
 class TestFiberCounts:
     def test_examples(self):
-        assert fiber_counts(2, True) == (12, 0)
-        assert fiber_counts(6, True) == (8, 2)
-        assert fiber_counts(4, False) == (10, 1)
+        assert fiber_counts(2) == (12, 0)
+        assert fiber_counts(6) == (8, 2)
+        assert fiber_counts(4) == (10, 1)
 
     def test_euler_identity(self):
         for rho in (2, 4, 6):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from trielem.catalog import build, parse_expr
-from trielem.errors import Degenerate, NotElementary, NotEven, ZeroScale
+from trielem.errors import Degenerate, NotElementary, NotEven, RankTooLarge, ZeroScale
 from trielem.lattice import (
     Lattice,
     direct_sum,
@@ -289,6 +289,8 @@ def test_lattice_from_dict():
         lattice_from_dict({"gram": "nope"})
     with pytest.raises(ValueError):
         lattice_from_dict([1, 2])
+    with pytest.raises(RankTooLarge):
+        lattice_from_dict({"gram": [[0] * 65] * 65})
 
 
 def test_det_product_of_factors():
