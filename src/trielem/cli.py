@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from .catalog import parse_expr
@@ -279,7 +280,9 @@ def _add_format(parser, choices=("md", "json", "csv")):
     parser.add_argument("--format", choices=choices, default="md")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later commands."""
     parser = argparse.ArgumentParser(
         prog="trielem",
         description=(

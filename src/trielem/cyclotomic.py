@@ -1,8 +1,8 @@
-"""Exact arithmetic with roots of unity: the rings Z[zeta_m].
+"""Exact arithmetic with roots of unity: the fields Q(zeta_m).
 
-Elements are integer polynomials in zeta_m reduced modulo the m-th
-cyclotomic polynomial, so equality of two expressions in roots of unity is
-an exact coefficient comparison.
+Elements are polynomials in zeta_m with rational (int or Fraction)
+coefficients, reduced modulo the m-th cyclotomic polynomial, so equality of
+two expressions in roots of unity is an exact coefficient comparison.
 """
 
 from __future__ import annotations
@@ -50,7 +50,10 @@ def _reduce(coeffs, phi):
 
 
 class Cyclotomic:
-    """An element of Z[zeta_m], reduced mod the m-th cyclotomic polynomial."""
+    """An element of Q(zeta_m), reduced mod the m-th cyclotomic polynomial.
+
+    Coefficients are ints or Fractions; on ints the arithmetic stays in
+    Z[zeta_m]."""
 
     __slots__ = ("order", "coeffs")
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .classify import classification_keys, complement_exists, enumerate_table1
+from .cyclotomic import Cyclotomic
 from .errors import (
     Degenerate,
     InvalidRho,
@@ -24,47 +25,8 @@ from .lattice import Lattice, discriminant_group, is_even
 from .linalg import signature
 
 
-@dataclass(frozen=True)
-class Eisenstein:
-    """Exact numbers a + b*zeta with zeta a primitive third root of unity
-    (zeta**2 = -1 - zeta)."""
-
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-
-    def __add__(self, other: "Eisenstein") -> "Eisenstein":
-        return Eisenstein(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "Eisenstein") -> "Eisenstein":
-        return Eisenstein(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "Eisenstein":
-        return Eisenstein(-self.a, -self.b)
-
-    def __mul__(self, other):
-        if isinstance(other, Eisenstein):
-            return Eisenstein(
-                self.a * other.a - self.b * other.b,
-                self.a * other.b + self.b * other.a - self.b * other.b,
-            )
-        return Eisenstein(self.a * other, self.b * other)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "Eisenstein":
-        """Swap zeta and zeta**2 = -1 - zeta."""
-        return Eisenstein(self.a - self.b, -self.b)
-
-    def __repr__(self):
-        return f"Eisenstein({self.a}, {self.b})"
-
-
-ZETA = Eisenstein(0, 1)
-MINUS_ZETA = Eisenstein(0, -1)
+ZETA = Cyclotomic(3, [0, 1])
+MINUS_ZETA = Cyclotomic(3, [0, -1])
 
 GENERIC = "generic"
 SPECIAL_THREE_POINTS = "special_three_points"
@@ -82,18 +44,15 @@ class FixedLocus:
     curves: int | None
 
 
-def holomorphic_lefschetz(points: int, genera) -> Eisenstein:
-    """Fixed-point side of the holomorphic Lefschetz number.
+def holomorphic_lefschetz(points: int, genera) -> Cyclotomic:
+    """Fixed-point side of the holomorphic Lefschetz number, in Q(zeta_3).
 
     Each isolated point contributes -zeta/3 and each fixed curve of genus g
     contributes zeta*(1-g)/3.  The cohomological side is 1 + zeta**2 =
     -zeta, so the total equals -zeta exactly when
     points - sum(1 - g) = 3.
     """
-    total = points * Eisenstein(0, Fraction(-1, 3))
-    for g in genera:
-        total = total + Eisenstein(0, Fraction(1 - g, 3))
-    return total
+    return Cyclotomic(3, [0, Fraction(sum(1 - g for g in genera) - points, 3)])
 
 
 def point_count(rho: int) -> int:

@@ -12,7 +12,7 @@ from math import ceil, floor, isqrt
 from .catalog import parse_expr
 from .errors import NotDefinite, NotIsometry, RankTooLarge, SizeMismatch
 from .lattice import Lattice, discriminant_group
-from .linalg import Matrix, signature
+from .linalg import Matrix, signature, symmetric_elimination
 
 ORDER_SEARCH_BOUND = 66
 
@@ -87,24 +87,6 @@ def _definite_sign(lat: Lattice) -> int:
     return -1 if minus else 1
 
 
-def _ldl(g: Matrix):
-    """g = sum_k d_k (x_k + sum_{j>k} c_kj x_j)^2 for positive-definite g."""
-    n = g.nrows
-    a = [[Fraction(g[i, j]) for j in range(n)] for i in range(n)]
-    diag = [Fraction(0)] * n
-    coef = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n):
-        dk = a[k][k]
-        diag[k] = dk
-        for j in range(k + 1, n):
-            coef[k][j] = a[k][j] / dk
-        for i in range(k + 1, n):
-            for j in range(i, n):
-                a[i][j] -= a[k][i] * a[k][j] / dk
-                a[j][i] = a[i][j]
-    return diag, coef
-
-
 def _interval(center: Fraction, bound: Fraction) -> tuple[int, int]:
     """Integers x with (x + center)^2 <= bound, as [lo, hi] (empty if lo>hi)."""
     if bound < 0:
@@ -122,9 +104,11 @@ def _interval(center: Fraction, bound: Fraction) -> tuple[int, int]:
 def short_vectors(lat: Lattice, target_norm: int) -> list[tuple[int, ...]]:
     """All integer vectors of the given norm in a definite lattice.
 
-    Backtracking over the exact completed-square decomposition of the Gram
-    matrix; the returned list is complete, duplicate-free, and sorted
-    lexicographically.
+    Backtracking over the exact completed-square decomposition
+    g = sum_k d_k (x_k + sum_{j>k} c_kj x_j)^2 read off the fraction-free
+    elimination of the Gram matrix: d_k = D_{k+1}/D_k from its leading
+    minors and c_kj = rows[k][j]/rows[k][k].  The returned list is complete,
+    duplicate-free, and sorted lexicographically.
     """
     n = lat.rank
     if n == 0:
@@ -136,7 +120,10 @@ def short_vectors(lat: Lattice, target_norm: int) -> list[tuple[int, ...]]:
         return []
     if t == 0:
         return [(0,) * n]
-    diag, coef = _ldl(g)
+    rows, _ = symmetric_elimination(g)
+    minors = [1] + [rows[k][k] for k in range(n)]
+    diag = [Fraction(minors[k + 1], minors[k]) for k in range(n)]
+    coef = [[Fraction(x, row[k]) for x in row] for k, row in enumerate(rows)]
     found: list[tuple[int, ...]] = []
     vec = [0] * n
 

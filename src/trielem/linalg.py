@@ -2,14 +2,16 @@
 
 Everything runs on Python ints and ``fractions.Fraction``: determinants via
 fraction-free elimination, Smith normal form with tracked unimodular
-transforms, inverses over the rationals, and eigenvalue sign counts from the
-integer characteristic polynomial.  No floating point anywhere.
+transforms, inverses over the rationals, and eigenvalue sign counts from a
+fraction-free symmetric elimination by Sylvester's law of inertia.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .errors import NotSymmetric, SingularMatrix
@@ -123,17 +125,32 @@ def pair_value(g: Matrix, x: Sequence, y: Sequence):
 def determinant(a: Matrix):
     """Exact determinant of a square matrix.
 
-    Integer input goes through fraction-free Bareiss elimination, so every
-    intermediate value stays an integer; rational input falls back to plain
-    Gaussian elimination over Fraction.
+    Fraction-free Bareiss elimination, so every intermediate value stays an
+    integer; rational input is scaled by the common denominator c first and
+    the result divided by c**n.
     """
     if not a.is_square:
         raise ValueError("determinant of a non-square matrix")
-    if a.nrows == 0:
+    n = a.nrows
+    if n == 0:
         return 1
-    if a.is_integral:
-        return _det_bareiss([[int(x) for x in row] for row in a.entries])
-    return _det_fraction([[Fraction(x) for x in row] for row in a.entries])
+    c = lcm(*(x.denominator for row in a.entries for x in row))
+    det = _det_bareiss([[int(x * c) for x in row] for row in a.entries])
+    return det if c == 1 else Fraction(det, c**n)
+
+
+def _eliminate(m, k: int, end: int, prev: int) -> None:
+    """One Bareiss step: clear column k below the pivot m[k][k] within rows
+    and columns k..end-1.  ``prev`` is the previous pivot, which divides
+    every updated entry exactly (Sylvester's determinant identity)."""
+    pivot = m[k][k]
+    row_k = m[k]
+    for i in range(k + 1, end):
+        row_i = m[i]
+        mik = row_i[k]
+        for j in range(k + 1, end):
+            row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
+        row_i[k] = 0
 
 
 def _det_bareiss(m):
@@ -149,38 +166,48 @@ def _det_bareiss(m):
                     break
             else:
                 return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
+        _eliminate(m, k, n, prev)
+        prev = m[k][k]
     return sign * m[n - 1][n - 1]
 
 
-def _det_fraction(m):
-    n = len(m)
-    sign = 1
-    det = Fraction(1)
-    for k in range(n):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = m[k][k]
-        det *= pivot
-        for i in range(k + 1, n):
-            factor = m[i][k] / pivot
-            if factor:
-                m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
-    return sign * det
+def symmetric_elimination(g: Matrix) -> tuple[list[list[int]], int]:
+    """Fraction-free congruence diagonalisation of a symmetric integer matrix.
+
+    Returns (rows, rank).  Up to a unimodular change of basis P, the rows are
+    the Bareiss rows of h = P^T g P: rows[k][k] is its leading principal
+    minor D_{k+1}, rows[k][j] for j > k the minor bordered by row k and
+    column j, and, with c_kj = rows[k][j]/rows[k][k],
+
+        h(x) = sum_{k < rank} (D_{k+1}/D_k) (x_k + sum_{j>k} c_kj x_j)^2.
+
+    A zero pivot with a nonzero entry elsewhere in its row is repaired by
+    x_k -> x_k +- x_j; an all-zero row spans a radical direction and moves
+    past the active block.  A definite g has no zero leading minor, so P is
+    the identity and the rows belong to g itself.
+    """
+    m = [[int(x) for x in row] for row in g.entries]
+    rank = len(m)
+    prev = 1
+    k = 0
+    while k < rank:
+        j = next((j for j in range(k, rank) if m[k][j]), None)
+        if j is None:
+            rank -= 1
+            m[k], m[rank] = m[rank], m[k]
+            for row in m:
+                row[k], row[rank] = row[rank], row[k]
+            continue
+        if j > k:
+            # the new pivot is m[j][j] +- 2*m[k][j]; one sign keeps it nonzero
+            sign = 1 if m[j][j] + 2 * m[k][j] else -1
+            m[k] = [a + sign * b for a, b in zip(m[k], m[j])]
+            for row in m:
+                row[k] += sign * row[j]
+        _eliminate(m, k, rank, prev)
+        prev = m[k][k]
+        k += 1
+    return m, rank
 
 
 def rational_inverse(a: Matrix) -> Matrix:
@@ -309,74 +336,16 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 def signature(g: Matrix) -> tuple[int, int, int]:
     """(positive, zero, negative) eigenvalue counts of a symmetric matrix.
 
-    Exact: split into diagonal blocks along the sparsity pattern, take the
-    integer characteristic polynomial of each block, count trailing zero
-    coefficients for the kernel, and apply Descartes' sign-variation rule,
-    which is sharp because symmetric matrices have only real eigenvalues.
+    Exact, by Sylvester's law of inertia: the congruent diagonal form of
+    ``symmetric_elimination`` has one zero per radical direction and, by
+    Jacobi's rule, one negative entry per sign change in the sequence of
+    leading minors 1, D_1, ..., D_rank.
     """
     if not g.is_symmetric:
         raise NotSymmetric("signature needs a symmetric matrix")
     if not g.is_integral:
         raise ValueError("signature needs integer entries")
-    n_plus = n_zero = n_minus = 0
-    for block in _diagonal_blocks(g):
-        coeffs = _char_poly(block)
-        n = len(block)
-        nz = 0
-        while nz < n and coeffs[n - nz] == 0:
-            nz += 1
-        seq = [c for c in coeffs[: n - nz + 1] if c != 0]
-        plus = sum(1 for x, y in zip(seq, seq[1:]) if (x > 0) != (y > 0))
-        n_plus += plus
-        n_zero += nz
-        n_minus += n - nz - plus
-    return (n_plus, n_zero, n_minus)
-
-
-def _diagonal_blocks(g: Matrix):
-    """Principal submatrices along connected components of the off-diagonal
-    support; their spectra concatenate to the full spectrum."""
-    n = g.nrows
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and g[i, j] != 0:
-                    seen[j] = True
-                    stack.append(j)
-        comp.sort()
-        yield [[g[i, j] for j in comp] for i in comp]
-
-
-def _char_poly(rows):
-    """Coefficients [1, c1, ..., cn] of det(x*I - A), exactly.
-
-    Uses the trace recursion in which every intermediate matrix stays
-    integral for integral input; the divisions by k are exact.
-    """
-    n = len(rows)
-    if n == 0:
-        return [1]
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    coeffs = [1]
-    for k in range(1, n + 1):
-        b = [
-            [sum(rows[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        tr = sum(b[i][i] for i in range(n))
-        q, r = divmod(-tr, k)
-        if r:
-            raise ArithmeticError("characteristic polynomial recursion broke")
-        coeffs.append(q)
-        for i in range(n):
-            b[i][i] += q
-        m = b
-    return coeffs
+    rows, rank = symmetric_elimination(g)
+    minors = [1] + [rows[k][k] for k in range(rank)]
+    minus = sum(1 for x, y in zip(minors, minors[1:]) if (x > 0) != (y > 0))
+    return (rank - minus, g.nrows - rank, minus)

@@ -137,6 +137,13 @@ class TestLatticeInfo:
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 0
         assert "q on generators: [" + ", ".join(["0"] * 22) + "]" in result.payload
+        # rank 64, at the cap: the signature is one cubic elimination
+        for expr, sig in (("A64", "(0, 64)"), ("U^32", "(32, 32)")):
+            start = time.perf_counter()
+            result = run(["lattice", expr])
+            assert time.perf_counter() - start < 1.0, expr
+            assert result.exit_code == 0, expr
+            assert f"signature: {sig}" in result.payload, expr
 
 
 class TestVerifyPair:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from trielem.catalog import build, parse_expr
+from trielem.cyclotomic import Cyclotomic
 from trielem.errors import (
     InvalidRho,
     NegativeGenus,
@@ -17,7 +18,6 @@ from trielem.fixed_locus import (
     NONEXISTENT,
     SPECIAL_THREE_POINTS,
     ZETA,
-    Eisenstein,
     FixedLocus,
     enumerate_table2,
     euler_fiber_sum,
@@ -71,31 +71,27 @@ EXPECTED_TABLE2 = {
 
 
 class TestEisenstein:
+    # Q(zeta_3) as Cyclotomic(3, [a, b]) = a + b*zeta, zeta**2 = -1 - zeta
     def test_defining_relation(self):
-        assert ZETA * ZETA == Eisenstein(-1, -1)
+        assert ZETA * ZETA == Cyclotomic(3, [-1, -1])
 
     def test_root_of_unity_sum(self):
-        one = Eisenstein(1, 0)
-        assert one + ZETA + ZETA * ZETA == Eisenstein(0, 0)
-
-    def test_conjugate(self):
-        x = Eisenstein(0, Fraction(-1, 3))
-        assert x.conjugate() == Eisenstein(Fraction(1, 3), Fraction(1, 3))
-        assert ZETA.conjugate() == Eisenstein(-1, -1)
+        one = Cyclotomic(3, [1, 0])
+        assert one + ZETA + ZETA * ZETA == Cyclotomic(3, [0, 0])
 
     def test_norm_is_rational(self):
         rng = random.Random(13)
         for _ in range(25):
-            x = Eisenstein(
-                Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
-                Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
-            )
-            norm = x * x.conjugate()
-            assert norm.b == 0
-            assert norm.a == x.a**2 - x.a * x.b + x.b**2
+            a = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            b = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            x = Cyclotomic(3, [a, b])
+            # the Galois conjugate a + b*zeta**2
+            norm = x * Cyclotomic(3, [a, 0, b])
+            assert norm.coeffs[1] == 0
+            assert norm.coeffs[0] == a**2 - a * b + b**2
 
     def test_scalar_multiplication(self):
-        assert 3 * Eisenstein(0, Fraction(-1, 3)) == MINUS_ZETA
+        assert 3 * Cyclotomic(3, [0, Fraction(-1, 3)]) == MINUS_ZETA
 
 
 class TestHolomorphicLefschetz:
@@ -107,7 +103,7 @@ class TestHolomorphicLefschetz:
 
     def test_empty_locus_fails(self):
         value = holomorphic_lefschetz(0, [])
-        assert value == Eisenstein(0, 0)
+        assert value == Cyclotomic(3, [0, 0])
         assert value != MINUS_ZETA
 
     def test_identity_criterion(self):
@@ -118,6 +114,18 @@ class TestHolomorphicLefschetz:
             value = holomorphic_lefschetz(points, genera)
             balanced = points - sum(1 - g for g in genera) == 3
             assert (value == MINUS_ZETA) == balanced
+
+    def test_matches_componentwise_sum(self):
+        # -zeta/3 per isolated point and zeta*(1-g)/3 per curve, added one
+        # component at a time
+        rng = random.Random(29)
+        for _ in range(100):
+            points = rng.randint(0, 9)
+            genera = [rng.randint(0, 10) for _ in range(rng.randint(0, 5))]
+            total = points * Cyclotomic(3, [0, Fraction(-1, 3)])
+            for g in genera:
+                total = total + Cyclotomic(3, [0, Fraction(1 - g, 3)])
+            assert holomorphic_lefschetz(points, genera) == total
 
 
 class TestPointCount:

@@ -2,9 +2,14 @@ import random
 from fractions import Fraction
 from math import gcd, prod
 
+import numpy
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trielem.catalog import build
+from trielem.classify import AMBIENT_RANK, enumerate_table1
 from trielem.errors import NotSymmetric, SingularMatrix
 from trielem.linalg import (
     Matrix,
@@ -13,6 +18,7 @@ from trielem.linalg import (
     rational_inverse,
     signature,
     smith_normal_form,
+    symmetric_elimination,
 )
 
 
@@ -29,6 +35,97 @@ def random_symmetric(rng, n, bound=20):
     for i in range(n):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = rng.randint(-bound, bound)
+    return Matrix(rows)
+
+
+def char_poly(rows):
+    """Coefficients [1, c1, ..., cn] of det(x*I - A) by the trace recursion,
+    in which every intermediate matrix stays integral for integral input."""
+    n = len(rows)
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    coeffs = [1]
+    for k in range(1, n + 1):
+        b = [
+            [sum(rows[i][t] * m[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        q, r = divmod(-sum(b[i][i] for i in range(n)), k)
+        assert r == 0
+        coeffs.append(q)
+        for i in range(n):
+            b[i][i] += q
+        m = b
+    return coeffs
+
+
+def reference_signature(g: Matrix):
+    """(positive, zero, negative) by Descartes' sign-variation rule on the
+    characteristic polynomial, which is sharp because a symmetric matrix
+    has only real eigenvalues; independent of any elimination."""
+    n = g.nrows
+    coeffs = char_poly([list(row) for row in g.entries])
+    zero = 0
+    while zero < n and coeffs[n - zero] == 0:
+        zero += 1
+    seq = [c for c in coeffs[: n - zero + 1] if c != 0]
+    plus = sum(1 for x, y in zip(seq, seq[1:]) if (x > 0) != (y > 0))
+    return (plus, zero, n - zero - plus)
+
+
+def random_unimodular(rng, n, steps):
+    """A product of signed column permutations and elementary column
+    operations, so its determinant is +-1."""
+    p = [[int(i == j) * rng.choice((-1, 1)) for j in range(n)] for i in range(n)]
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for row in p:
+            row[i] += c * row[j]
+    rng.shuffle(p)
+    return Matrix(p)
+
+
+BLOCKS = {
+    "U": ((0, 1), (1, 0)),
+    "U(3)": ((0, 3), (3, 0)),
+    "A2": ((-2, 1), (1, -2)),
+    "A2(-1)": ((2, -1), (-1, 2)),
+    "zero": ((0,),),
+}
+small_entries = st.one_of(st.just(0), st.integers(-9, 9))
+
+
+@st.composite
+def symmetric_matrices(draw, kinds=("dense", "zero_diagonal", "low_rank", "blocks")):
+    """Symmetric integer matrices of size at most 8: dense draws, draws with
+    a zero diagonal, sums of fewer than n rank-one terms (singular), and
+    direct sums of U, U(3), A2, A2(-1) and zero blocks in a mixed basis."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "blocks":
+        rows, n = [], 0
+        for name in draw(st.lists(st.sampled_from(sorted(BLOCKS)), max_size=5)):
+            block = BLOCKS[name]
+            if n + len(block) > 8:
+                break
+            rows = [row + [0] * len(block) for row in rows]
+            rows += [[0] * n + list(line) for line in block]
+            n += len(block)
+        p = random_unimodular(random.Random(draw(st.integers(0, 2**32 - 1))), n, 2 * n)
+        return p.transpose() @ Matrix(rows) @ p if n else Matrix([])
+    n = draw(st.integers(0, 8))
+    rows = [[0] * n for _ in range(n)]
+    if kind in ("dense", "zero_diagonal"):
+        for i in range(n):
+            for j in range(i, n):
+                if i != j or kind == "dense":
+                    rows[i][j] = rows[j][i] = draw(small_entries)
+    else:
+        for _ in range(draw(st.integers(0, max(n - 1, 0)))):
+            v = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+            sign = draw(st.sampled_from((-1, 1)))
+            for i in range(n):
+                for j in range(n):
+                    rows[i][j] += sign * v[i] * v[j]
     return Matrix(rows)
 
 
@@ -107,6 +204,27 @@ class TestDeterminant:
         a = Matrix([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])
         assert determinant(a) == Fraction(1, 3)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    def test_rational_matches_sympy(self, rows):
+        expected = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+        ).det()
+        det = determinant(Matrix(rows))
+        assert det == Fraction(int(expected.p), int(expected.q))
+
     def test_matches_snf_product(self):
         rng = random.Random(11)
         for _ in range(40):
@@ -148,6 +266,10 @@ class TestRationalInverse:
 class TestSignature:
     def test_hyperbolic_plane(self):
         assert signature(Matrix([[0, 1], [1, 0]])) == (1, 0, 1)
+        # U in other bases; the zero pivot is repaired by x_0 -> x_0 + x_1,
+        # or by x_0 - x_1 when the first sign gives 0 - 2 + 2 = 0
+        assert signature(Matrix([[0, 1], [1, 2]])) == (1, 0, 1)
+        assert signature(Matrix([[0, 1], [1, -2]])) == (1, 0, 1)
 
     def test_e8_negative_definite(self):
         assert signature(build("E8").gram) == (0, 0, 8)
@@ -162,9 +284,44 @@ class TestSignature:
     def test_degenerate(self):
         assert signature(Matrix([[0, 0], [0, 1]])) == (1, 1, 0)
         assert signature(Matrix([[0]])) == (0, 1, 0)
+        assert signature(Matrix([[1, 1, 0], [1, 1, 0], [0, 0, 0]])) == (1, 2, 0)
+        assert signature(Matrix([[0, 0, 1], [0, 0, 0], [1, 0, 0]])) == (1, 1, 1)
 
     def test_empty(self):
         assert signature(Matrix([])) == (0, 0, 0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(symmetric_matrices())
+    def test_matches_characteristic_polynomial(self, g):
+        assert signature(g) == reference_signature(g)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(symmetric_matrices(kinds=("dense", "zero_diagonal", "blocks")))
+    def test_matches_numpy_eigenvalues(self, g):
+        n = g.nrows
+        eigenvalues = numpy.linalg.eigvalsh(
+            numpy.array(g.entries, dtype=float).reshape(n, n)
+        )
+        assume(n == 0 or min(abs(eigenvalues)) > 1e-6)
+        plus = int((eigenvalues > 0).sum())
+        assert signature(g) == (plus, 0, n - plus)
+
+    def test_unimodular_invariance_on_table1(self):
+        rng = random.Random(23)
+        lattices = [
+            (pair.S, (1, 0, pair.rho - 1)) for pair in enumerate_table1()
+        ] + [
+            (pair.T, (2, 0, AMBIENT_RANK - 2 - pair.rho))
+            for pair in enumerate_table1()
+            if pair.T
+        ]
+        assert len(lattices) == 63
+        for lat, expected in lattices:
+            g = lat.gram
+            p = random_unimodular(rng, lat.rank, 3 * lat.rank)
+            assert abs(determinant(p)) == 1
+            assert signature(g) == expected, lat.name
+            assert signature(p.transpose() @ g @ p) == expected, lat.name
 
     def test_negation_swaps_counts(self):
         rng = random.Random(5)
@@ -174,6 +331,28 @@ class TestSignature:
             plus, zero, minus = signature(a)
             assert plus + zero + minus == n
             assert signature(a.scaled(-1)) == (minus, zero, plus)
+
+
+def test_definite_elimination_factors_the_gram_matrix():
+    # no zero leading minor, so no repair: the rows belong to g itself and
+    # g = sum_k (D_{k+1}/D_k) l_k l_k^T with l_k = rows[k] / rows[k][k]
+    for name in ("A2", "A5", "D4", "D7", "E6", "E7", "E8", "E6*(3)"):
+        g = build(name).gram.scaled(-1)
+        n = g.nrows
+        rows, rank = symmetric_elimination(g)
+        minors = [1] + [
+            determinant(Matrix([r[: k + 1] for r in g.entries[: k + 1]]))
+            for k in range(n)
+        ]
+        assert rank == n and [rows[k][k] for k in range(n)] == minors[1:], name
+        product = [[Fraction(0)] * n for _ in range(n)]
+        for k in range(n):
+            d = Fraction(minors[k + 1], minors[k])
+            l = [Fraction(rows[k][j], rows[k][k]) if j >= k else 0 for j in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    product[i][j] += d * l[i] * l[j]
+        assert Matrix(product) == g, name
 
 
 def test_pair_value():
