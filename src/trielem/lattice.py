@@ -4,7 +4,9 @@ discriminant quadratic forms, and the Gauss-sum consistency identity.
 A lattice here is a free Z-module carrying a symmetric integer Gram matrix.
 When the form is nondegenerate the lattice sits inside its dual with finite
 quotient; that quotient, together with the induced Q/2Z-valued quadratic
-form on it, is the invariant the classification machinery matches.
+form on it, is the invariant the classification machinery matches.  The
+quotient comes from a Smith normal form of the Gram matrix taken modulo
+det^2, so its cost does not depend on how dense the basis is.
 
 On a 3-elementary group, q is fixed by the F_3 normal form (s, det B mod 3)
 of B = 3*b on the generators (Nikulin 1979, §1; Conway-Sloane, SPLAG ch. 15),
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm, prod
+from math import gcd, lcm
 
 from .cyclotomic import Cyclotomic
 from .errors import Degenerate, NotElementary, NotEven, NotSymmetric, RankTooLarge, ZeroScale
@@ -105,8 +107,8 @@ class DiscriminantGroup:
     invariant_factors: tuple[int, ...]
     generators: tuple[tuple[Fraction, ...], ...]
     order: int
-    _coords: Matrix = field(compare=False)
-    _positions: tuple[int, ...] = field(compare=False)
+    _gram: Matrix = field(compare=False)
+    _coordinate_rows: tuple[tuple[int, ...], ...] = field(compare=False)
 
     @property
     def s(self) -> int:
@@ -126,12 +128,16 @@ class DiscriminantGroup:
         return tuple(x % 1 for x in vec)
 
     def coordinates_of(self, vec) -> tuple[int, ...]:
-        """Class of a dual vector in invariant-factor coordinates."""
-        w = [Fraction(x) for x in self._coords.mul_vec(vec)]
-        if any(x.denominator != 1 for x in w):
+        """Class of a dual vector in invariant-factor coordinates: the rows
+        of U, one per factor d, applied to G*vec and read mod d."""
+        den = lcm(*(x.denominator for x in vec))
+        gx = self._gram.mul_vec([int(x * den) for x in vec])
+        if any(y % den for y in gx):
             raise ValueError("vector is not in the dual lattice")
+        gx = [y // den for y in gx]
         return tuple(
-            int(w[pos]) % d for pos, d in zip(self._positions, self.invariant_factors)
+            sum(a * y for a, y in zip(row, gx)) % d
+            for row, d in zip(self._coordinate_rows, self.invariant_factors)
         )
 
     def __repr__(self):
@@ -142,26 +148,39 @@ class DiscriminantGroup:
 def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     """Invariant factors and generators of (dual)/(lattice).
 
-    From U @ G @ V = D the quotient Z^n / G Z^n is the direct sum of Z/d_i,
-    and the dual-coset generator for factor d_i is (column i of V) / d_i.
+    G maps L* onto Z^n, so A_L = Z^n / G Z^n.  Its Smith normal form runs
+    modulo m = D^2, D = |det G|, so no entry outgrows m however dense the
+    basis: U @ G @ V = diag(c) mod m, and as D divides m the factor for c_i
+    is d_i = gcd(c_i, m).  The generator for d_i is g_i = w_i * v_i / d_i
+    mod 1, v_i column i of V and w_i the inverse of c_i / d_i mod d_i.  Then
+    U @ G @ g_i = w_i * (c_i / d_i) * e_i + (m / d_i) * z for an integer z,
+    and m / d_i is a multiple of D, hence of every d_j: row j of U, read
+    mod d_j, maps g_i to e_i.  (With m = D, a prime of d_i could divide
+    c_i / d_i, which then has no inverse.)  Where nothing outgrows m,
+    c_i = d_i and g_i is the generator of the exact path.
     """
     g = lat.gram
     n = lat.rank
-    if n and determinant(g) == 0:
+    det = abs(determinant(g))
+    if det == 0:
         raise Degenerate("lattice is degenerate")
-    u, d, v = smith_normal_form(g)
-    diag = tuple(int(d[i, i]) for i in range(n))
-    positions = tuple(i for i in range(n) if diag[i] > 1)
-    gens = tuple(
-        tuple(Fraction(x, diag[i]) % 1 for x in v.column(i)) for i in positions
-    )
+    m = det * det
+    u, d, v = smith_normal_form(g, modulus=m)
+    factors, gens, rows = [], [], []
+    for i in range(n):
+        f = gcd(d[i, i], m)
+        if f > 1:
+            unit = pow(d[i, i] // f, -1, f)
+            factors.append(f)
+            gens.append(tuple(Fraction(unit * x % f, f) for x in v.column(i)))
+            rows.append(u.row(i))
     return DiscriminantGroup(
         rank=n,
-        invariant_factors=tuple(diag[i] for i in positions),
-        generators=gens,
-        order=prod(diag) if n else 1,
-        _coords=u @ g,
-        _positions=positions,
+        invariant_factors=tuple(factors),
+        generators=tuple(gens),
+        order=det,
+        _gram=g,
+        _coordinate_rows=tuple(rows),
     )
 
 

@@ -1,16 +1,17 @@
 """Exact dense linear algebra over the integers and rationals.
 
 Everything runs on Python ints and ``fractions.Fraction``: determinants via
-fraction-free elimination, Smith normal form with tracked unimodular
-transforms, inverses over the rationals, and eigenvalue sign counts from a
-fraction-free symmetric elimination by Sylvester's law of inertia.  No
-floating point anywhere.
+fraction-free elimination, Smith normal form with tracked transforms, exact
+or modulo a multiple of the determinant, inverses over the rationals, and
+eigenvalue sign counts from a fraction-free symmetric elimination by
+Sylvester's law of inertia.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 from typing import Sequence
 
@@ -234,102 +235,126 @@ def rational_inverse(a: Matrix) -> Matrix:
     return Matrix([row[n:] for row in work])
 
 
-def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+def smith_normal_form(a: Matrix, modulus: int = 0) -> tuple[Matrix, Matrix, Matrix]:
     """Decompose an integer matrix as U @ A @ V = D.
 
-    U and V are unimodular; D is diagonal with nonnegative entries forming a
+    With the default ``modulus`` 0 the arithmetic is exact: U and V are
+    unimodular, and D is diagonal with nonnegative entries forming a
     divisibility chain d1 | d2 | ...  Pivots are always the smallest
     surviving |entry| (ties broken by lowest row, then column), which makes
     the decomposition deterministic.
+
+    With ``modulus`` m > 0 the same elimination runs modulo m (Cohen, GTM
+    138, §2.4; Hafner-McCurley 1991), so entries stay below m in size: a
+    working entry is replaced by its symmetric residue once |x| > m, and
+    the entries of U and V are reduced mod m, into (-m, m).  Then
+    U @ A @ V = D holds mod m, U and V are invertible mod m, and the
+    gcd(d_i, m) form a divisibility chain.  If A is square and
+    |det A| != 0 divides m, the invariant factors of Z^n / A Z^n are the
+    gcd(d_i, m).  Where no working entry outgrows m, the pivots and D are
+    those of the exact path, and U and V agree with it mod m.
     """
     if not a.is_integral:
         raise ValueError("Smith normal form needs integer entries")
+    if modulus < 0:
+        raise ValueError("the modulus must be nonnegative")
+    m, h = modulus, modulus // 2
+    if m:
+
+        def combine(row, other, c):
+            # row + c * other; an entry that outgrew m becomes its
+            # symmetric residue
+            return [
+                z if abs(z := x + c * y) <= m else (z + h) % m - h for x, y in zip(row, other)
+            ]
+
+        def combine_mod(row, other, c):
+            return [(x + c * y) % m for x, y in zip(row, other)]
+
+    else:
+
+        def combine(row, other, c):
+            return [x + c * y for x, y in zip(row, other)]
+
+        combine_mod = combine
+
     nr, nc = a.nrows, a.ncols
-    d = [[int(x) for x in row] for row in a.entries]
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    one = 0 if m == 1 else 1  # the identity mod m
+    u = [[one if i == j else 0 for j in range(nr)] for i in range(nr)]
+    # V is kept transposed, so that a column operation is a row operation
+    vt = [[one if i == j else 0 for j in range(nc)] for i in range(nc)]
+    # At step t, block[i][j] is entry (t+i, t+j) of the working matrix;
+    # every entry outside the block and off the diagonal is already zero.
+    # combine() with a zero row reduces the input entries that outgrow m.
+    block = [combine([0] * nc, [int(x) for x in row], 1) for row in a.entries]
+    diag = []
 
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+    def swap_rows(t, i):
+        block[0], block[i] = block[i], block[0]
+        u[t], u[t + i] = u[t + i], u[t]
 
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+    def swap_cols(t, j):
+        for row in block:
+            row[0], row[j] = row[j], row[0]
+        vt[t], vt[t + j] = vt[t + j], vt[t]
 
-    def add_row(dst, src, c):
-        for j in range(nc):
-            d[dst][j] += c * d[src][j]
-        for j in range(nr):
-            u[dst][j] += c * u[src][j]
-
-    def add_col(dst, src, c):
-        for row in d:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    def clear_cross(t):
-        # Drive column t below the pivot and row t right of it to zero;
-        # any division remainder is strictly smaller than the pivot, so
-        # promoting it and restarting terminates.
+    for t in range(min(nr, nc)):
+        # the smallest nonzero |entry|, in the lowest row, then column
+        best = min(filter(None, map(abs, chain.from_iterable(block))), default=None)
+        if best is None:
+            break
+        swap_rows(t, next(i for i, row in enumerate(block) if best in row or -best in row))
+        swap_cols(t, next(j for j, x in enumerate(block[0]) if abs(x) == best))
         while True:
-            if d[t][t] < 0:
-                negate_row(t)
-            pivot = d[t][t]
+            # Drive column 0 below the pivot and row 0 right of it to zero;
+            # a division remainder is strictly smaller than the pivot, so
+            # promoting it and starting again terminates.
+            if block[0][0] < 0:
+                block[0] = [-x for x in block[0]]
+                u[t] = [-x for x in u[t]]
+            row_t, pivot = block[0], block[0][0]
             promoted = False
-            for i in range(t + 1, nr):
-                if d[i][t]:
-                    add_row(i, t, -(d[i][t] // pivot))
-                    if d[i][t]:
+            for i in range(1, len(block)):
+                if block[i][0]:
+                    c = -(block[i][0] // pivot)
+                    block[i] = combine(block[i], row_t, c)
+                    u[t + i] = combine_mod(u[t + i], u[t], c)
+                    if block[i][0]:
                         swap_rows(t, i)
                         promoted = True
                         break
             if promoted:
                 continue
-            for j in range(t + 1, nc):
-                if d[t][j]:
-                    add_col(j, t, -(d[t][j] // pivot))
-                    if d[t][j]:
+            # column 0 is now zero off the pivot, so subtracting q times
+            # column 0 from column j changes only row_t[j] in the block
+            for j in range(1, len(row_t)):
+                if row_t[j]:
+                    q = row_t[j] // pivot
+                    row_t[j] -= q * pivot
+                    vt[t + j] = combine_mod(vt[t + j], vt[t], -q)
+                    if row_t[j]:
                         swap_cols(t, j)
                         promoted = True
                         break
             if promoted:
                 continue
-            return
-
-    for t in range(min(nr, nc)):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                e = d[i][j]
-                if e and (best is None or abs(e) < best[0]):
-                    best = (abs(e), i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            swap_rows(t, bi)
-        if bj != t:
-            swap_cols(t, bj)
-        while True:
-            clear_cross(t)
-            pivot = d[t][t]
-            offender = None
-            for i in range(t + 1, nr):
-                if any(d[i][j] % pivot for j in range(t + 1, nc)):
-                    offender = i
-                    break
+            # the pivot must divide the rest of the block; if it does not,
+            # adding an offending row to row 0 brings a remainder next round
+            if pivot == 1:
+                break
+            offender = next(
+                (i for i in range(1, len(block)) if any(x % pivot for x in block[i])), None
+            )
             if offender is None:
                 break
-            add_row(t, offender, 1)
-    return Matrix(u), Matrix(d), Matrix(v)
+            block[0] = combine(row_t, block[offender], 1)
+            u[t] = combine_mod(u[t], u[t + offender], 1)
+        diag.append(pivot)
+        block = [row[1:] for row in block[1:]]
+    d = [[0] * nc for _ in range(nr)]
+    for i, x in enumerate(diag):
+        d[i][i] = x
+    return Matrix(u), Matrix(d), Matrix(vt).transpose()
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 import time
@@ -8,7 +9,7 @@ from trielem.catalog import parse_expr
 from trielem.classify import verify_pair
 from trielem.cli import main, run
 from trielem.lattice import discriminant_group
-from trielem.linalg import determinant, signature
+from trielem.linalg import Matrix, determinant, signature
 
 GOLDENS = Path(__file__).resolve().parents[1] / "goldens"
 
@@ -144,6 +145,38 @@ class TestLatticeInfo:
             assert time.perf_counter() - start < 1.0, expr
             assert result.exit_code == 0, expr
             assert f"signature: {sig}" in result.payload, expr
+
+    def test_dense_bases_up_to_the_rank_cap(self, tmp_path):
+        # the discriminant group's elimination runs modulo det^2, so the
+        # entries of a dense basis stay below det^2 in size
+        rng = random.Random(3)
+        cases = (
+            ("U^3+E8^4", (3, 0, 35), -1, []),
+            ("U(3)^4+E8^5", (4, 0, 44), 3**8, [3] * 8),
+            ("A2^32", (0, 0, 64), 3**32, [3] * 32),
+        )
+        for expr, sig, det, factors in cases:
+            n = parse_expr(expr).rank
+            # P = L @ R, L unit lower and R unit upper triangular
+            low = [
+                [int(i == j) or (rng.randint(-1, 1) if j < i else 0) for j in range(n)]
+                for i in range(n)
+            ]
+            up = [
+                [int(i == j) or (rng.randint(-1, 1) if j > i else 0) for j in range(n)]
+                for i in range(n)
+            ]
+            p = Matrix(low) @ Matrix(up)
+            gram = p.transpose() @ parse_expr(expr).gram @ p
+            path = tmp_path / f"rank{n}.json"
+            path.write_text(json.dumps({"name": expr, "gram": [list(r) for r in gram.entries]}))
+            start = time.perf_counter()
+            result = run(["lattice", str(path), "--format", "json"])
+            assert time.perf_counter() - start < 1.0, expr
+            info = json.loads(result.payload)
+            assert (info["rank"], tuple(info["signature"]), info["det"]) == (n, sig, det), expr
+            assert info["invariant_factors"] == factors, expr
+            assert len(info["q_on_generators"]) == len(factors), expr
 
 
 class TestVerifyPair:

@@ -3,10 +3,15 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
+import trielem.lattice
 from trielem.catalog import build, parse_expr
+from trielem.classify import enumerate_table1
 from trielem.errors import Degenerate, NotElementary, NotEven, RankTooLarge, ZeroScale
 from trielem.lattice import (
+    DiscriminantGroup,
     Lattice,
     direct_sum,
     discriminant_form,
@@ -18,7 +23,7 @@ from trielem.lattice import (
     milgram_holds,
     rescale,
 )
-from trielem.linalg import Matrix, determinant, pair_value, signature
+from trielem.linalg import Matrix, determinant, pair_value, signature, smith_normal_form
 
 CATALOG = [
     "U",
@@ -301,3 +306,113 @@ def test_det_product_of_factors():
         for d in group.invariant_factors:
             prod *= d
         assert prod == abs(determinant(lat.gram))
+
+
+TABLE1_LATTICES = [pair.S for pair in enumerate_table1()] + [
+    pair.T for pair in enumerate_table1() if pair.T
+]
+
+
+def dense_basis(lat: Lattice, rng) -> Lattice:
+    """The lattice in the basis P = L @ R, L unit lower and R unit upper
+    triangular with off-diagonal entries in {-1, 0, 1}: a dense Gram matrix
+    with entries of three to five digits at rank 20."""
+    n = lat.rank
+    low = [
+        [int(i == j) or (rng.randint(-1, 1) if j < i else 0) for j in range(n)] for i in range(n)
+    ]
+    up = [
+        [int(i == j) or (rng.randint(-1, 1) if j > i else 0) for j in range(n)] for i in range(n)
+    ]
+    p = Matrix(low) @ Matrix(up)
+    return Lattice(p.transpose() @ lat.gram @ p, lat.name)
+
+
+def exact_path_group(lat: Lattice) -> DiscriminantGroup:
+    """The group read off the exact Smith normal form, as the modular path
+    does while nothing outgrows det^2: generators (column i of V) / d_i."""
+    u, d, v = smith_normal_form(lat.gram)
+    positions = [i for i in range(lat.rank) if d[i, i] > 1]
+    return DiscriminantGroup(
+        rank=lat.rank,
+        invariant_factors=tuple(d[i, i] for i in positions),
+        generators=tuple(tuple(Fraction(x, d[i, i]) % 1 for x in v.column(i)) for i in positions),
+        order=abs(determinant(lat.gram)),
+        _gram=lat.gram,
+        _coordinate_rows=tuple(u.row(i) for i in positions),
+    )
+
+
+def normal_form(form):
+    """(s, det B mod 3) with B = 3*b on the generators."""
+    return form.group.s, int(determinant(form.bilinear_values.scaled(3).to_int())) % 3
+
+
+@pytest.fixture(scope="module")
+def dense_table1():
+    rng = random.Random(41)
+    return [dense_basis(lat, rng) for lat in TABLE1_LATTICES for _ in range(4)]
+
+
+class TestDenseBases:
+    """Every table-1 lattice in four seeded dense bases, against the exact
+    Smith normal form and sympy's."""
+
+    def test_invariant_factors(self, dense_table1):
+        assert len(dense_table1) == 252
+        for lat in dense_table1:
+            factors = discriminant_group(lat).invariant_factors
+            assert factors == exact_path_group(lat).invariant_factors, lat.name
+            d = sympy_smith_normal_form(sympy.Matrix(lat.gram.entries), domain=sympy.ZZ)
+            expected = sorted(abs(int(d[i, i])) for i in range(lat.rank) if abs(d[i, i]) != 1)
+            assert list(factors) == expected, lat.name
+
+    def test_generators(self, dense_table1):
+        for lat in dense_table1:
+            group = discriminant_group(lat)
+            for i, (f, gen) in enumerate(zip(group.invariant_factors, group.generators)):
+                # order exactly f: f kills it, f/p does not
+                assert all((f * x).denominator == 1 for x in gen)
+                for p in (2, 3):
+                    if f % p == 0:
+                        assert any((f // p * x).denominator != 1 for x in gen), lat.name
+                assert all(x.denominator == 1 for x in lat.gram.mul_vec(gen))
+                unit = tuple(int(j == i) for j in range(group.s))
+                assert group.coordinates_of(gen) == unit, lat.name
+
+    def test_form_matches_exact_path_generators(self, dense_table1, monkeypatch):
+        forms = [discriminant_form(lat) for lat in dense_table1]
+        monkeypatch.setattr(trielem.lattice, "discriminant_group", exact_path_group)
+        for lat, form in zip(dense_table1, forms):
+            exact = discriminant_form.__wrapped__(lat)
+            assert normal_form(exact) == normal_form(form), lat.name
+            assert milgram_holds(exact) and milgram_holds(form), lat.name
+
+    def test_nothing_stored_reaches_modulus(self, dense_table1):
+        for lat in dense_table1:
+            m = determinant(lat.gram) ** 2
+            u, _, v = smith_normal_form(lat.gram, modulus=m)
+            assert all(abs(x) < m for w in (u, v) for row in w.entries for x in row)
+            rows = discriminant_group(lat)._coordinate_rows
+            assert all(abs(x) < m for row in rows for x in row)
+
+    def test_coordinates_reject_non_dual_vector(self, dense_table1):
+        for lat in dense_table1[::7]:
+            det = abs(determinant(lat.gram))
+            # G e_0 / p is integral only if p divides column 0, whose gcd
+            # divides det
+            p = next(p for p in (5, 7, 11, 13) if det % p)
+            vec = (Fraction(1, p),) + (0,) * (lat.rank - 1)
+            with pytest.raises(ValueError):
+                discriminant_group(lat).coordinates_of(vec)
+
+    def test_canonical_bases_keep_exact_generators(self):
+        # nothing outgrows det^2 in these bases, so the printed generators
+        # and q values stay those of the exact path
+        for lat in TABLE1_LATTICES:
+            exact = exact_path_group(lat)
+            group = discriminant_group(lat)
+            assert group.generators == exact.generators, lat.name
+            m = exact.order**2
+            for row, exact_row in zip(group._coordinate_rows, exact._coordinate_rows):
+                assert all((x - y) % m == 0 for x, y in zip(row, exact_row)), lat.name

@@ -5,6 +5,7 @@ from math import gcd, prod
 import numpy
 import pytest
 import sympy
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -185,6 +186,86 @@ class TestSmithNormalForm:
         first = smith_normal_form(a)
         second = smith_normal_form(a)
         assert first == second
+
+
+def sympy_invariant_factors(a: Matrix) -> tuple[int, ...]:
+    """The invariant factors other than 1, from sympy's Smith normal form."""
+    d = sympy_smith_normal_form(sympy.Matrix(a.entries), domain=sympy.ZZ)
+    return tuple(sorted(abs(int(d[i, i])) for i in range(a.nrows) if abs(d[i, i]) != 1))
+
+
+def congruent(a: Matrix, b: Matrix, m: int) -> bool:
+    return all((x - y) % m == 0 for r, s in zip(a.entries, b.entries) for x, y in zip(r, s))
+
+
+def modular_cases(count=200):
+    """Nonsingular symmetric matrices of size at most 10: dense draws, and
+    sums of small blocks with nontrivial groups in a random basis, whose
+    elimination often outgrows det^2."""
+    blocks = (
+        ((2,),), ((6,),), ((0, 3), (3, 0)), ((2, 1), (1, 2)), ((6, 3), (3, 6)), ((4, 2), (2, 4))
+    )
+    rng = random.Random(31)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 10)
+        if len(out) % 2:
+            a = random_symmetric(rng, n, bound=9)
+        else:
+            rows = []
+            while len(rows) < n:
+                block = rng.choice([b for b in blocks if len(b) <= n - len(rows)])
+                k = len(rows)
+                rows = [row + [0] * len(block) for row in rows]
+                rows += [[0] * k + list(r) for r in block]
+            p = random_unimodular(rng, n, 2 * n)
+            a = p.transpose() @ Matrix(rows) @ p
+        if determinant(a):
+            out.append(a)
+    return out
+
+
+class TestSmithNormalFormModular:
+    """The elimination modulo m = det^2 against the exact path and sympy."""
+
+    def test_invariant_factors_match_exact_path_and_sympy(self):
+        outgrown = 0
+        for a in modular_cases():
+            n = a.nrows
+            m = determinant(a) ** 2
+            u, d, v = smith_normal_form(a, modulus=m)
+            _, exact, exact_v = smith_normal_form(a)
+            factors = [gcd(d[i, i], m) for i in range(n)]
+            assert factors == [exact[i, i] for i in range(n)]
+            assert tuple(f for f in factors if f > 1) == sympy_invariant_factors(a)
+            assert all(d[i, j] == 0 for i in range(n) for j in range(n) if i != j)
+            # U A V = D mod m, and no stored entry of U or V reaches m
+            assert congruent(u @ a @ v, d, m)
+            assert all(abs(x) < m for w in (u, v) for row in w.entries for x in row)
+            outgrown += d != exact or not congruent(v, exact_v, m)
+        # the reduction is exercised (76 of the 200 here), not only exact steps
+        assert outgrown > 50
+
+    def test_agrees_with_exact_path_on_table1(self):
+        # canonical bases never outgrow det^2: same pivots, U and V mod m
+        lattices = [pair.S for pair in enumerate_table1()] + [
+            pair.T for pair in enumerate_table1() if pair.T
+        ]
+        for lat in lattices:
+            m = determinant(lat.gram) ** 2
+            modular = smith_normal_form(lat.gram, modulus=m)
+            exact = smith_normal_form(lat.gram)
+            assert modular[1] == exact[1], lat.name
+            assert congruent(modular[0], exact[0], m), lat.name
+            assert congruent(modular[2], exact[2], m), lat.name
+
+    def test_modulus_one_and_negative(self):
+        a = Matrix([[2, 1], [1, 2]])
+        u, d, v = smith_normal_form(a, modulus=1)
+        assert u == v == Matrix([[0, 0], [0, 0]])
+        assert all(gcd(d[i, i], 1) == 1 for i in range(2))
+        with pytest.raises(ValueError):
+            smith_normal_form(a, modulus=-3)
 
 
 class TestDeterminant:
