@@ -21,7 +21,7 @@ from trielem.errors import NonIntegralGenus
 
 
 def main():
-    keys = {p.S.name: (p.rho, p.s) for p in enumerate_table1()}
+    rho_of = {p.S.name: p.rho for p in enumerate_table1()}
 
     print(f"{'S':<14} {'status':<22} {'M':>2} {'g':>2} {'N':>2}  identities")
     for name, locus in enumerate_table2():
@@ -34,8 +34,7 @@ def main():
             else [locus.genus] + [0] * (locus.curves - 1)
         )
         holo = holomorphic_lefschetz(locus.points, genera) == MINUS_ZETA
-        rho, s = keys[name]
-        topo = topological_check(rho, s, locus)
+        topo = topological_check(rho_of[name], locus)
         g = "-" if locus.genus is None else locus.genus
         print(f"{name:<14} {locus.status:<22} {locus.points:>2} {g:>2} "
               f"{locus.curves:>2}  lefschetz={holo} euler={topo}")

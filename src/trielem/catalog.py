@@ -14,61 +14,44 @@ import re
 
 from .errors import ParseError, UnknownName
 from .lattice import Lattice, check_rank
-from .linalg import Matrix, rational_inverse
+from .linalg import Matrix, block_diagonal, rational_inverse
 
 
-def _cartan(n, edges):
-    c = [[0] * n for _ in range(n)]
-    for i in range(n):
-        c[i][i] = 2
+def _root_gram(n, edges) -> Matrix:
+    """The negated Cartan matrix of a simply laced Dynkin diagram."""
+    g = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i, j in edges:
-        c[i][j] = c[j][i] = -1
-    return c
-
-
-def _negated(rows):
-    return [[-x for x in row] for row in rows]
+        g[i][j] = g[j][i] = 1
+    return Matrix(g)
 
 
 def _gram_a(n):
-    return _negated(_cartan(n, [(i, i + 1) for i in range(n - 1)]))
+    return _root_gram(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def _gram_d(n):
     edges = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
-    return _negated(_cartan(n, edges))
+    return _root_gram(n, edges)
 
 
 def _gram_e(l):
     edges = [(i, i + 1) for i in range(l - 2)] + [(2, l - 1)]
-    return _negated(_cartan(l, edges))
+    return _root_gram(l, edges)
 
 
-def _block_diag(blocks):
-    total = sum(len(b) for b in blocks)
-    rows = [[0] * total for _ in range(total)]
-    at = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                rows[at + i][at + j] = x
-        at += len(b)
-    return rows
+_GRAM_U = Matrix([[0, 1], [1, 0]])
 
 
-_GRAM_U = [[0, 1], [1, 0]]
-
-
-def _base_gram(token: str):
-    """Rows for a base name; rational for E6* (the dual of E6)."""
+def _base_gram(token: str) -> Matrix:
+    """The Gram matrix of a base name; rational for E6* (the dual of E6)."""
     if token == "U":
         return _GRAM_U
     if token == "K3":
-        return _block_diag([_GRAM_U, _GRAM_U, _GRAM_U, _gram_e(8), _gram_e(8)])
+        return block_diagonal([_GRAM_U] * 3 + [_gram_e(8)] * 2)
     if token in ("E6", "E7", "E8"):
         return _gram_e(int(token[1]))
     if token == "E6*":
-        return [list(row) for row in rational_inverse(Matrix(_gram_e(6))).entries]
+        return rational_inverse(_gram_e(6))
     if token[0] == "A":
         n = int(token[1:])
         check_rank(n, token)
@@ -85,15 +68,13 @@ def _base_gram(token: str):
 
 
 def build(name: str) -> Lattice:
-    """Construct a catalog lattice by its exact name."""
-    if name == "E6*(3)":
-        gram = Matrix(_base_gram("E6*")).scaled(3)
-        return Lattice(gram.to_int(), "E6*(3)")
+    """Construct a catalog lattice by its exact name: a base name, or
+    E6*(3), the dual of E6 scaled to be integral."""
     if name == "E6*":
         raise UnknownName("E6* is only cataloged with its integral scale, E6*(3)")
-    if not _BASE_RE.fullmatch(name):
+    if name != "E6*(3)" and not _BASE_RE.fullmatch(name):
         raise UnknownName(f"unknown lattice name: {name!r}")
-    return Lattice(Matrix(_base_gram(name)), name)
+    return parse_expr(name)
 
 
 _BASE_RE = re.compile(r"K3|E6\*|E[678]|A[0-9]+|D[0-9]+|U")
@@ -117,7 +98,7 @@ def parse_expr(text: str) -> Lattice:
         while pos < end and src[pos].isspace():
             pos += 1
 
-    blocks: list[list] = []
+    blocks: list[Matrix] = []
     labels: list[str] = []
     rank = 0
     while True:
@@ -128,7 +109,7 @@ def parse_expr(text: str) -> Lattice:
         token = match.group(0)
         start = pos
         pos = match.end()
-        gram = Matrix(_base_gram(token))
+        gram = _base_gram(token)
         label = token
         while True:
             skip_ws()
@@ -157,8 +138,7 @@ def parse_expr(text: str) -> Lattice:
                 k = int(mi.group(0))
                 pos = mi.end()
                 check_rank(gram.nrows * k, f"{label}^{k}")
-                rows = [list(r) for r in gram.entries]
-                gram = Matrix(_block_diag([rows] * k))
+                gram = block_diagonal([gram] * k)
                 label += f"^{k}"
             else:
                 break
@@ -169,7 +149,7 @@ def parse_expr(text: str) -> Lattice:
             )
         rank += gram.nrows
         check_rank(rank, "+".join(labels + [label]))
-        blocks.append([list(r) for r in gram.to_int().entries])
+        blocks.append(gram.to_int())
         labels.append(label)
         skip_ws()
         if pos < end and src[pos] == "+":
@@ -179,4 +159,4 @@ def parse_expr(text: str) -> Lattice:
     skip_ws()
     if pos != end:
         raise ParseError("unexpected trailing input", pos)
-    return Lattice(Matrix(_block_diag(blocks)), "+".join(labels))
+    return Lattice(block_diagonal(blocks), "+".join(labels))

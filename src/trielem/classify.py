@@ -139,35 +139,36 @@ class EmbeddingPair:
         return f"EmbeddingPair(rho={self.rho}, s={self.s}, S={self.S.name}, T={t_name})"
 
 
+def table1_names() -> list[tuple[int, int, str, str | None, bool]]:
+    """Table 1 as (rho, s, S, T, exists) for each of the 32 keys, by
+    (rank, s), with S and T as expressions; T is None and exists False for
+    the one key without a complement."""
+    return [
+        (key.rank, key.s, *_TABLE1_NAMES[(key.rank, key.s)], complement_exists(key.rank, key.s))
+        for key in classification_keys()
+    ]
+
+
 def enumerate_table1() -> list[EmbeddingPair]:
     """The 32 classification keys with their canonical lattices, ordered by
     (rank, s); 31 of them admit a complement inside the K3 lattice."""
-    pairs = []
-    for key in classification_keys():
-        s_name, t_name = _TABLE1_NAMES[(key.rank, key.s)]
-        pairs.append(
-            EmbeddingPair(
-                S=parse_expr(s_name),
-                T=parse_expr(t_name) if t_name else None,
-                rho=key.rank,
-                s=key.s,
-                exists=complement_exists(key.rank, key.s),
-            )
+    return [
+        EmbeddingPair(
+            S=parse_expr(s_name),
+            T=parse_expr(t_name) if t_name else None,
+            rho=rho,
+            s=s,
+            exists=exists,
         )
-    return pairs
+        for rho, s, s_name, t_name, exists in table1_names()
+    ]
 
 
 def table1_rows() -> list[dict]:
     """JSON-ready rows {rho, s, S, T, exists}."""
     return [
-        {
-            "rho": p.rho,
-            "s": p.s,
-            "S": p.S.name,
-            "T": p.T.name if p.T else None,
-            "exists": p.exists,
-        }
-        for p in enumerate_table1()
+        {"rho": rho, "s": s, "S": s_name, "T": t_name, "exists": exists}
+        for rho, s, s_name, t_name, exists in table1_names()
     ]
 
 

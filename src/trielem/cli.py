@@ -18,11 +18,11 @@ from .catalog import parse_expr
 from .classify import table1_rows, verify_pair
 from .errors import TrielemError
 from .fixed_locus import (
-    GENERIC,
     MINUS_ZETA,
     NONEXISTENT,
     SPECIAL_THREE_POINTS,
     FixedLocus,
+    enumerate_table2,
     fixed_locus_from_invariants,
     holomorphic_lefschetz,
     table2_rows,
@@ -103,25 +103,20 @@ def _locus_string(locus: FixedLocus) -> str:
 
 
 def _cmd_table2(args):
-    rows = table2_rows()
     if args.format == "json":
-        return 0, json.dumps(rows, indent=2)
+        return 0, json.dumps(table2_rows(), indent=2)
+    rows = enumerate_table2()
     if args.format == "csv":
         lines = ["S,status,M,g,N"]
-        for r in rows:
-            cells = [r["S"], r["status"]] + [
-                "" if r[k] is None else str(r[k]) for k in ("M", "g", "N")
-            ]
+        for name, locus in rows:
+            counts = (locus.points, locus.genus, locus.curves)
+            cells = [name, locus.status] + ["" if x is None else str(x) for x in counts]
             lines.append(",".join(cells))
         return 0, "\n".join(lines)
-    populated = []
-    absent = []
-    for r in rows:
-        locus = FixedLocus(r["status"], r["M"], r["g"], r["N"])
-        if locus.status == NONEXISTENT:
-            absent.append(r["S"])
-        else:
-            populated.append((_pretty(r["S"]), _locus_string(locus)))
+    populated = [
+        (_pretty(name), _locus_string(locus)) for name, locus in rows if locus.status != NONEXISTENT
+    ]
+    absent = [name for name, locus in rows if locus.status == NONEXISTENT]
     text = _md_table(("S", "fixed locus"), populated)
     if absent:
         text += "\n\nNo order-3 automorphism acting trivially on the lattice:\n"
@@ -249,7 +244,7 @@ def _cmd_lefschetz(args):
             [locus.genus] + [0] * (locus.curves - 1)
         )
         holo = holomorphic_lefschetz(locus.points, genera) == MINUS_ZETA
-        topo = topological_check(args.rho, args.s, locus)
+        topo = topological_check(args.rho, locus)
     if args.format == "json":
         payload = json.dumps(
             {

@@ -94,15 +94,6 @@ class Cyclotomic:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Cyclotomic(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return Cyclotomic(self.order, [-a for a in self.coeffs])
-
     def __mul__(self, other):
         if isinstance(other, int):
             return Cyclotomic(self.order, [other * a for a in self.coeffs])

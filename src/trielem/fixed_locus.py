@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .classify import classification_keys, complement_exists, enumerate_table1
+from .classify import table1_names
 from .cyclotomic import Cyclotomic
 from .errors import (
     Degenerate,
@@ -62,12 +62,13 @@ def point_count(rho: int) -> int:
     return rho // 2 - 1
 
 
-def topological_check(rho: int, s: int, locus: FixedLocus) -> bool:
+def topological_check(rho: int, locus: FixedLocus) -> bool:
     """Euler-characteristic consistency of a fixed locus.
 
-    The trace side of the topological fixed-point formula is (3*rho-18)/2;
-    the locus side is points + (2-2g) + 2*(N-1) for a generic locus, while
-    the curve part alone must carry Euler number rho - 8.
+    The trace side of the topological fixed-point formula is (3*rho-18)/2,
+    whatever s is; the locus side is points + (2-2g) + 2*(N-1) for a
+    generic locus, while the curve part alone must carry Euler number
+    rho - 8.
     """
     target = (3 * rho - 18) // 2
     if locus.status == SPECIAL_THREE_POINTS:
@@ -80,11 +81,7 @@ def topological_check(rho: int, s: int, locus: FixedLocus) -> bool:
 
 @lru_cache(maxsize=None)
 def _embeddable_keys() -> frozenset:
-    return frozenset(
-        (key.rank, key.s)
-        for key in classification_keys()
-        if complement_exists(key.rank, key.s)
-    )
+    return frozenset((rho, s) for rho, s, *_, exists in table1_names() if exists)
 
 
 def fixed_locus_from_invariants(rho: int, s: int) -> FixedLocus:
@@ -126,11 +123,11 @@ def fixed_locus_of(lat: Lattice) -> FixedLocus:
 def enumerate_table2() -> list[tuple[str, FixedLocus]]:
     """Fixed locus for every classified lattice with a complement, by
     (rank, s); keys with 22 - rho - 2s < 0 are flagged nonexistent."""
-    rows = []
-    for pair in enumerate_table1():
-        if pair.exists:
-            rows.append((pair.S.name, fixed_locus_from_invariants(pair.rho, pair.s)))
-    return rows
+    return [
+        (s_name, fixed_locus_from_invariants(rho, s))
+        for rho, s, s_name, _, exists in table1_names()
+        if exists
+    ]
 
 
 def table2_rows() -> list[dict]:

@@ -11,7 +11,7 @@ from math import ceil, floor, isqrt
 
 from .catalog import parse_expr
 from .errors import NotDefinite, NotIsometry, RankTooLarge, SizeMismatch
-from .lattice import Lattice, discriminant_group
+from .lattice import Lattice, discriminant_group, read_int_rows
 from .linalg import Matrix, signature, symmetric_elimination
 
 ORDER_SEARCH_BOUND = 66
@@ -227,14 +227,5 @@ def order3_isometry_u_u() -> Isometry:
 
 
 def matrix_from_dict(data) -> Matrix:
-    """Build a square integer matrix from the JSON literal {"matrix": [[...]]}."""
-    if not isinstance(data, dict) or "matrix" not in data:
-        raise ValueError('expected an object with a "matrix" field')
-    rows = data["matrix"]
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise ValueError('"matrix" must be a list of rows')
-    for row in rows:
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError('"matrix" entries must be integers')
-    return Matrix(rows)
+    """Build an integer matrix from the JSON literal {"matrix": [[...]]}."""
+    return Matrix(read_int_rows(data, "matrix"))

@@ -26,7 +26,7 @@ from math import gcd, lcm
 
 from .cyclotomic import Cyclotomic
 from .errors import Degenerate, NotElementary, NotEven, NotSymmetric, RankTooLarge, ZeroScale
-from .linalg import Matrix, determinant, signature, smith_normal_form
+from .linalg import Matrix, block_diagonal, determinant, signature, smith_normal_form
 
 # Largest rank accepted from an expression or a JSON file (the K3 lattice has
 # rank 22); checked before the Gram matrix is allocated.
@@ -88,11 +88,8 @@ def direct_sum(l1: Lattice, l2: Lattice) -> Lattice:
         return l2
     if l2.rank == 0:
         return l1
-    n1, n2 = l1.rank, l2.rank
-    rows = [list(l1.gram.row(i)) + [0] * n2 for i in range(n1)]
-    rows += [[0] * n1 + list(l2.gram.row(i)) for i in range(n2)]
     name = f"{l1.name}+{l2.name}" if l1.name and l2.name else None
-    return Lattice(Matrix(rows), name)
+    return Lattice(block_diagonal([l1.gram, l2.gram]), name)
 
 
 @dataclass(frozen=True, repr=False)
@@ -345,19 +342,29 @@ def forms_match_opposite(form_s: FiniteQuadraticForm, form_t: FiniteQuadraticFor
     return form_t.group.s == s and _det_mod3(form_s) == det_t
 
 
-def lattice_from_dict(data) -> Lattice:
-    """Build a lattice from the JSON literal {"name": ..., "gram": [[...]]}."""
-    if not isinstance(data, dict) or "gram" not in data:
-        raise ValueError('expected an object with a "gram" field')
-    gram = data["gram"]
-    if not isinstance(gram, list) or not all(isinstance(r, list) for r in gram):
-        raise ValueError('"gram" must be a list of rows')
-    check_rank(len(gram), '"gram"')
-    for row in gram:
+def read_int_rows(data, key: str) -> list:
+    """The rows of the integer matrix ``data[key]`` in a parsed JSON object.
+
+    Checks that ``data`` is an object holding ``key``, that its value is a
+    list of at most MAX_RANK rows, each a list, and that every entry is an
+    integer (JSON true and false are not)."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f'expected an object with a "{key}" field')
+    rows = data[key]
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError(f'"{key}" must be a list of rows')
+    check_rank(len(rows), f'"{key}"')
+    for row in rows:
         for x in row:
             if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError('"gram" entries must be integers')
+                raise ValueError(f'"{key}" entries must be integers')
+    return rows
+
+
+def lattice_from_dict(data) -> Lattice:
+    """Build a lattice from the JSON literal {"name": ..., "gram": [[...]]}."""
+    gram = read_int_rows(data, "gram")
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise ValueError('"name" must be a string')
-    return Lattice(Matrix(gram), name)
+    return Lattice(gram, name)

@@ -84,25 +84,6 @@ class Matrix:
     def mul_vec(self, vec: Sequence) -> tuple:
         return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.entries)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __neg__(self) -> "Matrix":
-        return self.scaled(-1)
-
     def scaled(self, c) -> "Matrix":
         return Matrix([[c * x for x in row] for row in self.entries])
 
@@ -114,6 +95,16 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({[list(row) for row in self.entries]!r})"
+
+
+def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
+    """The square matrix with the given square blocks on its diagonal."""
+    n = sum(b.nrows for b in blocks)
+    rows = []
+    for b in blocks:
+        left = len(rows)
+        rows += [[0] * left + list(row) + [0] * (n - left - b.nrows) for row in b.entries]
+    return Matrix(rows)
 
 
 def pair_value(g: Matrix, x: Sequence, y: Sequence):

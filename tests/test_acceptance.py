@@ -108,12 +108,12 @@ def test_criterion_2_table2_regeneration():
 def test_criterion_3_lefschetz_identities():
     rows = enumerate_table2()
     keys = {(p.rho, p.s): p for p in enumerate_table1()}
-    by_name = {p.S.name: (p.rho, p.s) for p in enumerate_table1()}
+    rho_of = {p.S.name: p.rho for p in enumerate_table1()}
     checked = 0
     for name, locus in rows:
         if locus.status == NONEXISTENT:
             continue
-        rho, s = by_name[name]
+        rho = rho_of[name]
         genera = (
             []
             if locus.status == SPECIAL_THREE_POINTS
@@ -121,7 +121,7 @@ def test_criterion_3_lefschetz_identities():
         )
         assert holomorphic_lefschetz(locus.points, genera) == MINUS_ZETA, name
         assert locus.points - sum(1 - g for g in genera) == 3, name
-        assert topological_check(rho, s, locus), name
+        assert topological_check(rho, locus), name
         checked += 1
     assert checked == 24
     assert keys[(14, 8)].exists is False

@@ -53,6 +53,21 @@ class TestBuild:
             with pytest.raises(UnknownName):
                 build(name)
 
+    def test_rejection_messages(self):
+        for name, message in (
+            ("A2+U", "unknown lattice name: 'A2+U'"),
+            ("E6*", "E6* is only cataloged with its integral scale, E6*(3)"),
+            (" U", "unknown lattice name: ' U'"),
+            ("A0", "A0: A-series needs n >= 1"),
+        ):
+            with pytest.raises(UnknownName) as info:
+                build(name)
+            assert str(info.value) == message
+
+    def test_e6_dual_is_three_times_the_inverse(self):
+        product = build("E6").gram @ build("E6*(3)").gram
+        assert product == Matrix.identity(6).scaled(3)
+
 
 class TestParse:
     def test_table_row_rank10(self):

@@ -125,6 +125,13 @@ class TestEnumerateTable1:
                 assert discriminant_group(p.T).s == p.s
                 assert is_p_elementary(p.T, 3)
 
+    def test_rows_name_what_the_parser_builds(self):
+        # table1_rows prints the expressions without parsing them
+        for row in table1_rows():
+            for name in (row["S"], row["T"]):
+                if name:
+                    assert parse_expr(name).name == name
+
     def test_deterministic_output(self):
         first = json.dumps(table1_rows())
         second = json.dumps(table1_rows())

@@ -242,6 +242,13 @@ class TestIsometryCommand:
         result = run(["isometry", "--lattice", "U", "--matrix", "no-such-file.json"])
         assert result.exit_code == 2
 
+    def test_matrix_above_rank_cap_exits_2(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"matrix": [[0] * 65] * 65}))
+        result = run(["isometry", "--lattice", "U", "--matrix", str(path)])
+        assert result.exit_code == 2
+        assert result.payload == 'error: "matrix": rank 65 exceeds the limit of 64'
+
 
 class TestSearchOrder3:
     def test_found(self):

@@ -143,24 +143,24 @@ class TestPointCount:
 class TestTopologicalCheck:
     def test_rank2(self):
         locus = FixedLocus(GENERIC, 0, 5, 2)
-        assert topological_check(2, 0, locus)
+        assert topological_check(2, locus)
 
     def test_special(self):
         locus = FixedLocus(SPECIAL_THREE_POINTS, 3, None, 0)
-        assert topological_check(8, 7, locus)
+        assert topological_check(8, locus)
 
     def test_rank20(self):
         locus = FixedLocus(GENERIC, 9, 0, 6)
-        assert topological_check(20, 1, locus)
+        assert topological_check(20, locus)
 
     def test_detects_wrong_counts(self):
         locus = FixedLocus(GENERIC, 1, 5, 2)
-        assert not topological_check(2, 0, locus)
+        assert not topological_check(2, locus)
 
     def test_rejects_nonexistent(self):
         locus = FixedLocus(NONEXISTENT, None, None, None)
         with pytest.raises(ValueError):
-            topological_check(10, 8, locus)
+            topological_check(10, locus)
 
 
 class TestFixedLocusOf:
@@ -270,20 +270,17 @@ class TestEnumerateTable2:
                 assert curve_euler == lat.rank - 8
 
     def test_all_rows_pass_both_checks(self):
-        from trielem.lattice import discriminant_group
-
         for name, locus in enumerate_table2():
             if locus.status == NONEXISTENT:
                 continue
             lat = parse_expr(name)
-            s = discriminant_group(lat).s
             genera = (
                 []
                 if locus.status == SPECIAL_THREE_POINTS
                 else [locus.genus] + [0] * (locus.curves - 1)
             )
             assert holomorphic_lefschetz(locus.points, genera) == MINUS_ZETA, name
-            assert topological_check(lat.rank, s, locus), name
+            assert topological_check(lat.rank, locus), name
 
 
 class TestKodaira:

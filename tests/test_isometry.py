@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 
+from trielem import isometry as isometry_module
+from trielem import lattice as lattice_module
 from trielem.catalog import build, parse_expr
 from trielem.errors import (
     NotDefinite,
@@ -23,7 +25,7 @@ from trielem.isometry import (
     order_of,
     short_vectors,
 )
-from trielem.lattice import Lattice, direct_sum, discriminant_group, rescale
+from trielem.lattice import Lattice, direct_sum, discriminant_group, lattice_from_dict, rescale
 from trielem.linalg import Matrix, determinant, pair_value
 
 A2 = build("A2")
@@ -276,3 +278,24 @@ def test_matrix_from_dict():
         matrix_from_dict({"matrix": [[0.5]]})
     with pytest.raises(ValueError):
         matrix_from_dict({})
+
+
+@pytest.mark.parametrize(
+    ("reader", "key"), [(matrix_from_dict, "matrix"), (lattice_from_dict, "gram")]
+)
+def test_json_readers_reject_the_same_input(reader, key, monkeypatch):
+    with pytest.raises(ValueError, match=f'"{key}" entries must be integers'):
+        reader({key: [[True, 1], [1, 0]]})
+    with pytest.raises(ValueError, match="unequal lengths"):
+        reader({key: [[0, 1], [1]]})
+    with pytest.raises(ValueError, match="list of rows"):
+        reader({key: [[0, 1], 1]})
+
+    # the row count is checked before any matrix is built
+    def no_matrix(rows):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(isometry_module, "Matrix", no_matrix)
+    monkeypatch.setattr(lattice_module, "Matrix", no_matrix)
+    with pytest.raises(RankTooLarge, match="rank 65 exceeds the limit of 64"):
+        reader({key: [[0] * 65] * 65})
