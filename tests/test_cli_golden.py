@@ -3,9 +3,16 @@
 Every command of the corpus below must reproduce the exit code and payload
 recorded in ``goldens/cli.json``: both tables in every format, the pair
 checks and Lefschetz queries of every table-1 row, ``lattice`` on catalog
-names and on every table-1 lattice, the order-3 searches and witnesses, and
-the invalid-input cases.  Input files are written to a fresh directory,
-which the corpus and the golden payloads call ``{dir}``.
+names, on every table-1 lattice and on twelve of them in dense bases, the
+order-3 searches and witnesses, and the invalid-input cases.  Input files
+are written to a fresh directory, which the corpus and the golden payloads
+call ``{dir}``.
+
+The dense bases in ``goldens/dense_bases.json`` are P^T G P for a canonical
+Gram matrix G and P = L U, with L and U unit triangular and off-diagonal
+entries drawn from {-1, 0, 1} (``random.Random(9)``).  On each of them the
+generators of the discriminant group differ from those of the canonical
+basis, so the recorded ``q_on_generators`` pins the choice of generators.
 
 After a deliberate change of output, regenerate the golden file with
 
@@ -22,6 +29,7 @@ from trielem.cli import run
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "goldens" / "cli.json"
 TABLE1 = json.loads((ROOT / "goldens" / "table1.json").read_text())
+DENSE = json.loads((ROOT / "goldens" / "dense_bases.json").read_text())
 
 FILES = {
     # the order-3 witnesses on U(3)+U and U+U, and a shear that is no isometry
@@ -75,6 +83,7 @@ def corpus() -> list[list[str]]:
         commands += [["search-order3", "--lattice", name, "--format", fmt] for name in ("A2", "A2(3)", "D4")]
         for lattice, matrix in (("U(3)+U", "u3_u"), ("U+U", "u_u"), ("U", "shear")):
             commands.append(["isometry", "--lattice", lattice, "--matrix", f"{{dir}}/{matrix}.json", "--format", fmt])
+    commands += [["lattice", f"{{dir}}/{name}", "--format", "json"] for name in DENSE]
     commands += [["lattice", expr] for expr in BAD_EXPRESSIONS]
     commands += [["lattice", f"{{dir}}/{name}.json"] for name in ("true", "ragged", "rank65", "missing")]
     commands += [
@@ -87,7 +96,7 @@ def corpus() -> list[list[str]]:
 
 def record(directory: Path) -> list[dict]:
     """Run the corpus with its input files written to ``directory``."""
-    for name, data in FILES.items():
+    for name, data in {**FILES, **DENSE}.items():
         (directory / name).write_text(json.dumps(data))
     records = []
     for argv in corpus():
