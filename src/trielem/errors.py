@@ -69,6 +69,11 @@ class RankTooLarge(TrielemError):
     small-rank guard on exhaustive enumeration."""
 
 
+class GroupTooLarge(TrielemError):
+    """A discriminant group has more elements than an enumeration over it
+    may visit."""
+
+
 class InvalidRho(TrielemError):
     """Picard number outside the admissible range."""
 

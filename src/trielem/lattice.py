@@ -6,13 +6,16 @@ When the form is nondegenerate the lattice sits inside its dual with finite
 quotient; that quotient, together with the induced Q/2Z-valued quadratic
 form on it, is the invariant the classification machinery matches.  The
 quotient comes from a Smith normal form of the Gram matrix taken modulo
-det^2, so its cost does not depend on how dense the basis is.
+det^2, so its cost does not depend on how dense the basis is.  That form
+tracks only the column transform V, which gives the generators; the row
+transform U, which maps a dual vector to its coordinates, is built on the
+first ``coordinates_of`` call.
 
 On a 3-elementary group, q is fixed by the F_3 normal form (s, det B mod 3)
 of B = 3*b on the generators (Nikulin 1979, §1; Conway-Sloane, SPLAG ch. 15),
 so the opposite-form match and the Gauss sum need no element list.  Other
 groups, such as the 2-elementary ones of D4, A1^8 and E7+A1^3, sum q over
-all |A| elements.
+all |A| elements, up to MAX_GAUSS_ELEMENTS of them.
 """
 
 from __future__ import annotations
@@ -20,17 +23,30 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm
 
 from .cyclotomic import Cyclotomic
-from .errors import Degenerate, NotElementary, NotEven, NotSymmetric, RankTooLarge, ZeroScale
+from .errors import (
+    Degenerate,
+    GroupTooLarge,
+    NotElementary,
+    NotEven,
+    NotSymmetric,
+    RankTooLarge,
+    ZeroScale,
+)
 from .linalg import Matrix, block_diagonal, determinant, signature, smith_normal_form
 
 # Largest rank accepted from an expression or a JSON file (the K3 lattice has
 # rank 22); checked before the Gram matrix is allocated.
 MAX_RANK = 64
+
+# Largest group whose Gauss sum is taken element by element, which only a
+# group that is not 3-elementary needs.  A1^16 (2^16 elements) takes a few
+# seconds, and each further factor of 2 doubles that.
+MAX_GAUSS_ELEMENTS = 2**16
 
 
 def check_rank(rank: int, label: str) -> None:
@@ -98,6 +114,8 @@ class DiscriminantGroup:
 
     ``generators`` are rational coset representatives in lattice-basis
     coordinates, one per invariant factor, with entries reduced into [0, 1).
+    ``order`` is |det G|, and the generators come from the Smith normal form
+    of G modulo order^2 (see ``discriminant_group``).
     """
 
     rank: int
@@ -105,7 +123,6 @@ class DiscriminantGroup:
     generators: tuple[tuple[Fraction, ...], ...]
     order: int
     _gram: Matrix = field(compare=False)
-    _coordinate_rows: tuple[tuple[int, ...], ...] = field(compare=False)
 
     @property
     def s(self) -> int:
@@ -123,6 +140,15 @@ class DiscriminantGroup:
             for i, x in enumerate(gen):
                 vec[i] += c * x
         return tuple(x % 1 for x in vec)
+
+    @cached_property
+    def _coordinate_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Row i of U for each factor, from the Smith normal form that gave
+        the generators, run again with U.  No pivot choice reads U, so the
+        factors fall on the same rows i and the rows match the generators."""
+        m = self.order * self.order
+        u, d, _ = smith_normal_form(self._gram, modulus=m)
+        return tuple(u.row(i) for i in range(self.rank) if gcd(d[i, i], m) > 1)
 
     def coordinates_of(self, vec) -> tuple[int, ...]:
         """Class of a dual vector in invariant-factor coordinates: the rows
@@ -154,7 +180,9 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     and m / d_i is a multiple of D, hence of every d_j: row j of U, read
     mod d_j, maps g_i to e_i.  (With m = D, a prime of d_i could divide
     c_i / d_i, which then has no inverse.)  Where nothing outgrows m,
-    c_i = d_i and g_i is the generator of the exact path.
+    c_i = d_i and g_i is the generator of the exact path.  Only
+    ``coordinates_of`` reads U, so this elimination leaves it out and that
+    method builds the rows it needs on its first call.
     """
     g = lat.gram
     n = lat.rank
@@ -162,22 +190,20 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     if det == 0:
         raise Degenerate("lattice is degenerate")
     m = det * det
-    u, d, v = smith_normal_form(g, modulus=m)
-    factors, gens, rows = [], [], []
+    _, d, v = smith_normal_form(g, modulus=m, with_u=False)
+    factors, gens = [], []
     for i in range(n):
         f = gcd(d[i, i], m)
         if f > 1:
             unit = pow(d[i, i] // f, -1, f)
             factors.append(f)
             gens.append(tuple(Fraction(unit * x % f, f) for x in v.column(i)))
-            rows.append(u.row(i))
     return DiscriminantGroup(
         rank=n,
         invariant_factors=tuple(factors),
         generators=tuple(gens),
         order=det,
         _gram=g,
-        _coordinate_rows=tuple(rows),
     )
 
 
@@ -241,7 +267,11 @@ def discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
     group = discriminant_group(lat)
     dims = group.invariant_factors
     e = max(dims, default=1)
-    ws = [[int(d * x) for x in gen] for d, gen in zip(dims, group.generators)]
+    # d * x in integer arithmetic: each denominator of g_i divides d_i
+    ws = [
+        [x.numerator * (d // x.denominator) for x in gen]
+        for d, gen in zip(dims, group.generators)
+    ]
     gws = [lat.gram.mul_vec(w) for w in ws]
     pairs = [
         [sum(a * b for a, b in zip(wi, gw)) * e // (di * dj) for gw, dj in zip(gws, dims)]
@@ -301,9 +331,15 @@ def _gauss_sum(form: FiniteQuadraticForm, m: int) -> Cyclotomic:
 
     On (Z/3)^s, exp(pi*i*q(x)) = zeta_3^(B(x,x)/2), so over the normal form
     diag(1, ..., 1, det B) the sum is a product of s three-term sums of
-    zeta_3^(2*a*t*t), t in F_3.  Other groups sum over every element.
+    zeta_3^(2*a*t*t), t in F_3.  Other groups sum over every element, and
+    raise GroupTooLarge above MAX_GAUSS_ELEMENTS.
     """
     if set(form.group.invariant_factors) != {3}:
+        if form.group.order > MAX_GAUSS_ELEMENTS:
+            raise GroupTooLarge(
+                f"the Gauss sum of a group that is not 3-elementary runs over all "
+                f"{form.group.order} elements, above the limit of {MAX_GAUSS_ELEMENTS}"
+            )
         terms = [0] * m
         for val in form.q_values.values():
             terms[val.numerator * (m // (2 * val.denominator))] += 1

@@ -1,10 +1,12 @@
 """Exact dense linear algebra over the integers and rationals.
 
-Everything runs on Python ints and ``fractions.Fraction``: determinants via
-fraction-free elimination, Smith normal form with tracked transforms, exact
-or modulo a multiple of the determinant, inverses over the rationals, and
-eigenvalue sign counts from a fraction-free symmetric elimination by
-Sylvester's law of inertia.  No floating point anywhere.
+Everything runs on Python ints and ``fractions.Fraction``: one fraction-free
+symmetric elimination gives both the determinant and the eigenvalue sign
+counts (Sylvester's law of inertia) of a symmetric integer matrix, and is
+run once per matrix; Bareiss elimination gives the determinant of any
+other square matrix.  Smith normal form runs exact or modulo a multiple of
+the determinant, and builds the row transform U only when asked for it;
+inverses are over the rationals.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -117,15 +119,17 @@ def pair_value(g: Matrix, x: Sequence, y: Sequence):
 def determinant(a: Matrix):
     """Exact determinant of a square matrix.
 
-    Fraction-free Bareiss elimination, so every intermediate value stays an
-    integer; rational input is scaled by the common denominator c first and
-    the result divided by c**n.
+    A symmetric integer matrix takes it from the ``symmetric_elimination``
+    that ``signature`` runs, so a Gram matrix is eliminated once for both.
+    Other input goes through fraction-free Bareiss elimination, so every
+    intermediate value stays an integer; rational input is scaled by the
+    common denominator c first and the result divided by c**n.
     """
     if not a.is_square:
         raise ValueError("determinant of a non-square matrix")
+    if a.is_symmetric and a.is_integral:
+        return _signature_and_determinant(a)[1]
     n = a.nrows
-    if n == 0:
-        return 1
     c = lcm(*(x.denominator for row in a.entries for x in row))
     det = _det_bareiss([[int(x * c) for x in row] for row in a.entries])
     return det if c == 1 else Fraction(det, c**n)
@@ -226,7 +230,9 @@ def rational_inverse(a: Matrix) -> Matrix:
     return Matrix([row[n:] for row in work])
 
 
-def smith_normal_form(a: Matrix, modulus: int = 0) -> tuple[Matrix, Matrix, Matrix]:
+def smith_normal_form(
+    a: Matrix, modulus: int = 0, *, with_u: bool = True
+) -> tuple[Matrix | None, Matrix, Matrix]:
     """Decompose an integer matrix as U @ A @ V = D.
 
     With the default ``modulus`` 0 the arithmetic is exact: U and V are
@@ -244,6 +250,9 @@ def smith_normal_form(a: Matrix, modulus: int = 0) -> tuple[Matrix, Matrix, Matr
     |det A| != 0 divides m, the invariant factors of Z^n / A Z^n are the
     gcd(d_i, m).  Where no working entry outgrows m, the pivots and D are
     those of the exact path, and U and V agree with it mod m.
+
+    With ``with_u`` false, U is neither built nor returned (None stands in
+    its place).  No pivot choice reads U, so D and V are the same either way.
     """
     if not a.is_integral:
         raise ValueError("Smith normal form needs integer entries")
@@ -271,7 +280,7 @@ def smith_normal_form(a: Matrix, modulus: int = 0) -> tuple[Matrix, Matrix, Matr
 
     nr, nc = a.nrows, a.ncols
     one = 0 if m == 1 else 1  # the identity mod m
-    u = [[one if i == j else 0 for j in range(nr)] for i in range(nr)]
+    u = [[one if i == j else 0 for j in range(nr)] for i in range(nr)] if with_u else None
     # V is kept transposed, so that a column operation is a row operation
     vt = [[one if i == j else 0 for j in range(nc)] for i in range(nc)]
     # At step t, block[i][j] is entry (t+i, t+j) of the working matrix;
@@ -282,7 +291,8 @@ def smith_normal_form(a: Matrix, modulus: int = 0) -> tuple[Matrix, Matrix, Matr
 
     def swap_rows(t, i):
         block[0], block[i] = block[i], block[0]
-        u[t], u[t + i] = u[t + i], u[t]
+        if u is not None:
+            u[t], u[t + i] = u[t + i], u[t]
 
     def swap_cols(t, j):
         for row in block:
@@ -302,14 +312,16 @@ def smith_normal_form(a: Matrix, modulus: int = 0) -> tuple[Matrix, Matrix, Matr
             # promoting it and starting again terminates.
             if block[0][0] < 0:
                 block[0] = [-x for x in block[0]]
-                u[t] = [-x for x in u[t]]
+                if u is not None:
+                    u[t] = [-x for x in u[t]]
             row_t, pivot = block[0], block[0][0]
             promoted = False
             for i in range(1, len(block)):
                 if block[i][0]:
                     c = -(block[i][0] // pivot)
                     block[i] = combine(block[i], row_t, c)
-                    u[t + i] = combine_mod(u[t + i], u[t], c)
+                    if u is not None:
+                        u[t + i] = combine_mod(u[t + i], u[t], c)
                     if block[i][0]:
                         swap_rows(t, i)
                         promoted = True
@@ -339,13 +351,14 @@ def smith_normal_form(a: Matrix, modulus: int = 0) -> tuple[Matrix, Matrix, Matr
             if offender is None:
                 break
             block[0] = combine(row_t, block[offender], 1)
-            u[t] = combine_mod(u[t], u[t + offender], 1)
+            if u is not None:
+                u[t] = combine_mod(u[t], u[t + offender], 1)
         diag.append(pivot)
         block = [row[1:] for row in block[1:]]
     d = [[0] * nc for _ in range(nr)]
     for i, x in enumerate(diag):
         d[i][i] = x
-    return Matrix(u), Matrix(d), Matrix(vt).transpose()
+    return None if u is None else Matrix(u), Matrix(d), Matrix(vt).transpose()
 
 
 @lru_cache(maxsize=None)
@@ -361,7 +374,17 @@ def signature(g: Matrix) -> tuple[int, int, int]:
         raise NotSymmetric("signature needs a symmetric matrix")
     if not g.is_integral:
         raise ValueError("signature needs integer entries")
+    return _signature_and_determinant(g)[0]
+
+
+@lru_cache(maxsize=None)
+def _signature_and_determinant(g: Matrix) -> tuple[tuple[int, int, int], int]:
+    """The signature and the determinant of a symmetric integer matrix, from
+    one ``symmetric_elimination``.  Its repairs and radical swaps are
+    congruences by matrices of determinant +-1, so det g is the last leading
+    minor D_n when no direction is radical, and 0 when one is."""
     rows, rank = symmetric_elimination(g)
     minors = [1] + [rows[k][k] for k in range(rank)]
     minus = sum(1 for x, y in zip(minors, minors[1:]) if (x > 0) != (y > 0))
-    return (rank - minus, g.nrows - rank, minus)
+    det = minors[-1] if rank == g.nrows else 0
+    return (rank - minus, g.nrows - rank, minus), det

@@ -197,6 +197,34 @@ class TestVerifyPair:
         assert result.exit_code == 0
         assert json.loads(result.payload)["ok"] is True
 
+    def test_gauss_sum_element_budget(self):
+        # A1^16 has 2^16 elements, the most the Gauss sum of a group that
+        # is not 3-elementary may run over, and keeps its report
+        result = run(["verify-pair", "--s", "A1^16", "--t", "A1", "--format", "json"])
+        assert result.exit_code == 1
+        passing = {"even_S", "even_T", "nondegenerate", "milgram_S", "milgram_T"}
+        assert json.loads(result.payload) == {
+            "ok": False,
+            "checks": {
+                name: name in passing
+                for name in (
+                    "rank_sum", "signature_S", "signature_T", "even_S", "even_T",
+                    "nondegenerate", "determinants", "invariant_factors",
+                    "opposite_forms", "milgram_S", "milgram_T",
+                )
+            },
+            "details": {
+                "determinants": "|det S| = 65536, |det T| = 2, expected 3^16",
+                "opposite_forms": "both forms must live on 3-elementary groups",
+            },
+        }
+        # A1^64, inside the rank cap, would sum over 2^64 elements
+        start = time.perf_counter()
+        result = run(["verify-pair", "--s", "A1^64", "--t", "A1"])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert "18446744073709551616 elements" in result.payload
+
 
 class TestIsometryCommand:
     def test_witness(self, tmp_path):

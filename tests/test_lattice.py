@@ -333,14 +333,16 @@ def exact_path_group(lat: Lattice) -> DiscriminantGroup:
     does while nothing outgrows det^2: generators (column i of V) / d_i."""
     u, d, v = smith_normal_form(lat.gram)
     positions = [i for i in range(lat.rank) if d[i, i] > 1]
-    return DiscriminantGroup(
+    group = DiscriminantGroup(
         rank=lat.rank,
         invariant_factors=tuple(d[i, i] for i in positions),
         generators=tuple(tuple(Fraction(x, d[i, i]) % 1 for x in v.column(i)) for i in positions),
         order=abs(determinant(lat.gram)),
         _gram=lat.gram,
-        _coordinate_rows=tuple(u.row(i) for i in positions),
     )
+    # the exact rows of U, in place of the modular ones coordinates_of builds
+    vars(group)["_coordinate_rows"] = tuple(u.row(i) for i in positions)
+    return group
 
 
 def normal_form(form):

@@ -14,6 +14,7 @@ from trielem.classify import AMBIENT_RANK, enumerate_table1
 from trielem.errors import NotSymmetric, SingularMatrix
 from trielem.linalg import (
     Matrix,
+    _det_bareiss,
     determinant,
     pair_value,
     rational_inverse,
@@ -235,6 +236,8 @@ class TestSmithNormalFormModular:
             m = determinant(a) ** 2
             u, d, v = smith_normal_form(a, modulus=m)
             _, exact, exact_v = smith_normal_form(a)
+            # no pivot choice reads U, so leaving it out keeps D and V
+            assert smith_normal_form(a, modulus=m, with_u=False) == (None, d, v)
             factors = [gcd(d[i, i], m) for i in range(n)]
             assert factors == [exact[i, i] for i in range(n)]
             assert tuple(f for f in factors if f > 1) == sympy_invariant_factors(a)
@@ -305,6 +308,49 @@ class TestDeterminant:
         ).det()
         det = determinant(Matrix(rows))
         assert det == Fraction(int(expected.p), int(expected.q))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(symmetric_matrices())
+    def test_symmetric_matches_bareiss_and_sympy(self, g):
+        # symmetric integer input reads the determinant off the signature's
+        # elimination; zero-diagonal draws run its repairs, and low-rank
+        # draws its radical directions
+        expected = int(sympy.Matrix(g.nrows, g.ncols, [x for row in g.entries for x in row]).det())
+        assert determinant(g) == expected
+        if g.nrows:
+            assert _det_bareiss([list(row) for row in g.entries]) == expected
+
+    @pytest.mark.parametrize(
+        "rows, det",
+        [
+            ([], 1),
+            ([[0]], 0),
+            ([[0, 0], [0, 0]], 0),
+            ([[0, 0, 1], [0, 0, 0], [1, 0, 0]], 0),  # radical in the middle
+            ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], 0),  # radical after a U block
+            ([[1, 1], [1, 1]], 0),  # zero pivot after a nonzero one
+            ([[0, 1, 2], [1, 0, 3], [2, 3, 0]], 12),  # zero diagonal: repairs
+            ([[0, 3], [3, 0]], -9),
+        ],
+    )
+    def test_symmetric_repairs_and_radicals(self, rows, det):
+        g = Matrix(rows)
+        assert determinant(g) == det
+        assert (signature(g)[1] > 0) == (det == 0)
+
+    def test_table1_dense_bases(self):
+        # |det| = 3^s, and the sign is (-1)^(negative eigenvalues):
+        # S has signature (1, rho - 1) and T (2, 20 - rho), rho even
+        rng = random.Random(29)
+        lattices = [(pair.S, -(3**pair.s)) for pair in enumerate_table1()] + [
+            (pair.T, 3**pair.s) for pair in enumerate_table1() if pair.T
+        ]
+        assert len(lattices) == 63
+        for lat, expected in lattices:
+            p = random_unimodular(rng, lat.rank, 3 * lat.rank)
+            g = p.transpose() @ lat.gram @ p
+            assert determinant(g) == expected, lat.name
+            assert _det_bareiss([list(row) for row in g.entries]) == expected, lat.name
 
     def test_matches_snf_product(self):
         rng = random.Random(11)
