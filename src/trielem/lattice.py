@@ -6,10 +6,10 @@ When the form is nondegenerate the lattice sits inside its dual with finite
 quotient; that quotient, together with the induced Q/2Z-valued quadratic
 form on it, is the invariant the classification machinery matches.  The
 quotient comes from a Smith normal form of the Gram matrix taken modulo
-det^2, so its cost does not depend on how dense the basis is.  That form
-tracks only the column transform V, which gives the generators; the row
-transform U, which maps a dual vector to its coordinates, is built on the
-first ``coordinates_of`` call.
+det^2, so its cost does not depend on how dense the basis is.  It builds
+only the columns of V at the factors, which give the generators; the rows
+of U there, which map a dual vector to its coordinates, come from a second
+run on the first ``coordinates_of`` call.
 
 On a 3-elementary group, q is fixed by the F_3 normal form (s, det B mod 3)
 of B = 3*b on the generators (Nikulin 1979, §1; Conway-Sloane, SPLAG ch. 15),
@@ -24,8 +24,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm
+from operator import mul
 
 from .cyclotomic import Cyclotomic
 from .errors import (
@@ -57,7 +58,8 @@ def check_rank(rank: int, label: str) -> None:
 
 @dataclass(frozen=True, repr=False)
 class Lattice:
-    """A lattice given by its Gram matrix; ``name`` is display metadata."""
+    """A lattice given by its Gram matrix, kept as given when its entries
+    are plain ints; ``name`` is display metadata."""
 
     gram: Matrix
     name: str | None = None
@@ -143,12 +145,12 @@ class DiscriminantGroup:
 
     @cached_property
     def _coordinate_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Row i of U for each factor, from the Smith normal form that gave
-        the generators, run again with U.  No pivot choice reads U, so the
-        factors fall on the same rows i and the rows match the generators."""
+        """The rows of U at the factor positions, from the Smith normal form
+        that gave the generators, run again for U alone.  No pivot choice
+        reads U, so the factors fall on the same rows and the rows match
+        the generators."""
         m = self.order * self.order
-        u, d, _ = smith_normal_form(self._gram, modulus=m)
-        return tuple(u.row(i) for i in range(self.rank) if gcd(d[i, i], m) > 1)
+        return smith_normal_form(self._gram, modulus=m, transforms="factor_u")[0].entries
 
     def coordinates_of(self, vec) -> tuple[int, ...]:
         """Class of a dual vector in invariant-factor coordinates: the rows
@@ -167,6 +169,17 @@ class DiscriminantGroup:
         return f"DiscriminantGroup(factors={list(self.invariant_factors)})"
 
 
+class _Fractions(dict):
+    """k -> Fraction(k, denominator), each value made once."""
+
+    def __init__(self, denominator: int):
+        self.denominator = denominator
+
+    def __missing__(self, k):
+        self[k] = value = Fraction(k, self.denominator)
+        return value
+
+
 @lru_cache(maxsize=None)
 def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     """Invariant factors and generators of (dual)/(lattice).
@@ -180,9 +193,9 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     and m / d_i is a multiple of D, hence of every d_j: row j of U, read
     mod d_j, maps g_i to e_i.  (With m = D, a prime of d_i could divide
     c_i / d_i, which then has no inverse.)  Where nothing outgrows m,
-    c_i = d_i and g_i is the generator of the exact path.  Only
-    ``coordinates_of`` reads U, so this elimination leaves it out and that
-    method builds the rows it needs on its first call.
+    c_i = d_i and g_i is the generator of the exact path.  Only the
+    columns of V at the factor positions are built here; ``coordinates_of``
+    builds the rows of U it needs on its first call.
     """
     g = lat.gram
     n = lat.rank
@@ -190,14 +203,14 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     if det == 0:
         raise Degenerate("lattice is degenerate")
     m = det * det
-    _, d, v = smith_normal_form(g, modulus=m, with_u=False)
-    factors, gens = [], []
-    for i in range(n):
-        f = gcd(d[i, i], m)
-        if f > 1:
-            unit = pow(d[i, i] // f, -1, f)
-            factors.append(f)
-            gens.append(tuple(Fraction(unit * x % f, f) for x in v.column(i)))
+    _, d, v = smith_normal_form(g, modulus=m, transforms="factor_v")
+    pivots = [d[i, i] for i in range(n) if gcd(d[i, i], m) > 1]
+    factors = [gcd(c, m) for c in pivots]
+    tables = {f: _Fractions(f) for f in factors}
+    gens = []
+    for c, f, column in zip(pivots, factors, zip(*v.entries)):
+        unit, fraction = pow(c // f, -1, f), tables[f]
+        gens.append(tuple(fraction[unit * x % f] for x in column))
     return DiscriminantGroup(
         rank=n,
         invariant_factors=tuple(factors),
@@ -231,6 +244,13 @@ class FiniteQuadraticForm:
     def __repr__(self):
         return f"FiniteQuadraticForm(factors={list(self.group.invariant_factors)})"
 
+    @cached_property
+    def _det_mod3(self) -> int:
+        """det B mod 3 for B = 3*b on a 3-elementary group, where B = e*b is
+        congruent to the integer pairings mod 3.  Over F_3, B is congruent
+        to diag(1, ..., 1, det B), so (s, det B mod 3) is its normal form."""
+        return determinant(Matrix([[x % 3 for x in row] for row in self.q_values.pairs])) % 3
+
 
 class _QValues(Mapping):
     """q(sum c_i g_i) = sum_ij c_i c_j g_i.G g_j mod 2, from the exact
@@ -259,8 +279,9 @@ def discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
     """The discriminant quadratic form, from its values on the generators.
 
     W_i = d_i * g_i is an integer vector, so the pairing g_i.G g_j is
-    W_i.(G W_j) / (d_i d_j): one integer product G W_j per generator.  q is
-    well defined mod 2 because the lattice is even.
+    W_i.(G W_j) / (d_i d_j): one integer product G W_j per generator, a
+    sum of rows of the symmetric G over the few nonzero W_j[k] of a
+    canonical basis.  q is well defined mod 2 because the lattice is even.
     """
     if not is_even(lat):
         raise NotEven("the discriminant form needs an even lattice")
@@ -272,15 +293,22 @@ def discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
         [x.numerator * (d // x.denominator) for x in gen]
         for d, gen in zip(dims, group.generators)
     ]
-    gws = [lat.gram.mul_vec(w) for w in ws]
+    gws = []
+    for w in ws:
+        gw = [0] * lat.rank
+        for x, row in zip(w, lat.gram.entries):
+            if x:
+                gw = [a + x * b for a, b in zip(gw, row)]
+        gws.append(gw)
     pairs = [
-        [sum(a * b for a, b in zip(wi, gw)) * e // (di * dj) for gw, dj in zip(gws, dims)]
+        [sum(map(mul, wi, gw)) * e // (di * dj) for gw, dj in zip(gws, dims)]
         for wi, di in zip(ws, dims)
     ]
+    fraction = _Fractions(e)
     return FiniteQuadraticForm(
         group=group,
         q_values=_QValues(group, e, pairs),
-        bilinear_values=Matrix([[Fraction(x, e) % 1 for x in row] for row in pairs]),
+        bilinear_values=Matrix([[fraction[x % e] for x in row] for row in pairs]),
         lattice_signature=signature(lat.gram),
     )
 
@@ -320,12 +348,6 @@ def _sqrt_as_cyclotomic(n: int, m: int) -> Cyclotomic:
     return out
 
 
-def _det_mod3(form: FiniteQuadraticForm) -> int:
-    """det B mod 3 for B = 3*b on the generators.  Over F_3, B is congruent
-    to diag(1, ..., 1, det B), so (s, det B mod 3) is its normal form."""
-    return int(determinant(form.bilinear_values.scaled(3).to_int())) % 3
-
-
 def _gauss_sum(form: FiniteQuadraticForm, m: int) -> Cyclotomic:
     """The sum of exp(pi*i*q(x)) over the group, in Z[zeta_m].
 
@@ -345,7 +367,7 @@ def _gauss_sum(form: FiniteQuadraticForm, m: int) -> Cyclotomic:
             terms[val.numerator * (m // (2 * val.denominator))] += 1
         return Cyclotomic(m, terms)
     total = Cyclotomic.integer(m, 1)
-    for a in [1] * (form.group.s - 1) + [_det_mod3(form)]:
+    for a in [1] * (form.group.s - 1) + [form._det_mod3]:
         total = total * _quadratic_sum(m, 3, 2 * a)
     return total
 
@@ -374,8 +396,8 @@ def forms_match_opposite(form_s: FiniteQuadraticForm, form_t: FiniteQuadraticFor
     if any(d != 3 for form in (form_s, form_t) for d in form.group.invariant_factors):
         raise NotElementary("both forms must live on 3-elementary groups")
     s = form_s.group.s
-    det_t = (-1) ** s * _det_mod3(form_t) % 3
-    return form_t.group.s == s and _det_mod3(form_s) == det_t
+    det_t = (-1) ** s * form_t._det_mod3 % 3
+    return form_t.group.s == s and form_s._det_mod3 == det_t
 
 
 def read_int_rows(data, key: str) -> list:
@@ -390,10 +412,9 @@ def read_int_rows(data, key: str) -> list:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ValueError(f'"{key}" must be a list of rows')
     check_rank(len(rows), f'"{key}"')
-    for row in rows:
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError(f'"{key}" entries must be integers')
+    for t in set(map(type, chain.from_iterable(rows))):
+        if not issubclass(t, int) or issubclass(t, bool):
+            raise ValueError(f'"{key}" entries must be integers')
     return rows
 
 

@@ -5,8 +5,9 @@ symmetric elimination gives both the determinant and the eigenvalue sign
 counts (Sylvester's law of inertia) of a symmetric integer matrix, and is
 run once per matrix; Bareiss elimination gives the determinant of any
 other square matrix.  Smith normal form runs exact or modulo a multiple of
-the determinant, and builds the row transform U only when asked for it;
-inverses are over the rationals.  No floating point anywhere.
+the determinant, and builds U and V by replaying its recorded operations
+onto only the rows or columns asked for; inverses are over the rationals.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -14,22 +15,24 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import NotSymmetric, SingularMatrix
 
 
 class Matrix:
-    """Immutable dense matrix with int or Fraction entries."""
+    """Immutable dense matrix with int or Fraction entries; its hash and
+    symmetry and integrality tests are kept once computed."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_hash", "_symmetric", "_integral")
 
     def __init__(self, rows: Sequence[Sequence]):
         entries = tuple(tuple(row) for row in rows)
         if entries and any(len(row) != len(entries[0]) for row in entries):
             raise ValueError("matrix rows have unequal lengths")
         self.entries = entries
+        self._hash = self._symmetric = self._integral = None
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -49,14 +52,20 @@ class Matrix:
 
     @property
     def is_symmetric(self) -> bool:
-        return self.entries == tuple(zip(*self.entries))
+        if self._symmetric is None:
+            self._symmetric = self.entries == tuple(zip(*self.entries))
+        return self._symmetric
 
     @property
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
+        if self._integral is None:
+            self._integral = all(x.denominator == 1 for row in self.entries for x in row)
+        return self._integral
 
     def to_int(self) -> "Matrix":
-        """Copy with plain int entries; requires ``is_integral``."""
+        """With plain int entries: itself, or a copy; requires ``is_integral``."""
+        if set(map(type, chain.from_iterable(self.entries))) <= {int}:
+            return self
         return Matrix([[int(x) for x in row] for row in self.entries])
 
     def __getitem__(self, key):
@@ -93,7 +102,9 @@ class Matrix:
         return isinstance(other, Matrix) and self.entries == other.entries
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        if self._hash is None:
+            self._hash = hash(self.entries)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Matrix({[list(row) for row in self.entries]!r})"
@@ -180,7 +191,8 @@ def symmetric_elimination(g: Matrix) -> tuple[list[list[int]], int]:
     A zero pivot with a nonzero entry elsewhere in its row is repaired by
     x_k -> x_k +- x_j; an all-zero row spans a radical direction and moves
     past the active block.  A definite g has no zero leading minor, so P is
-    the identity and the rows belong to g itself.
+    the identity and the rows belong to g itself.  The active block stays
+    symmetric (Bareiss 1968): each step computes its upper half, mirrored.
     """
     m = [[int(x) for x in row] for row in g.entries]
     rank = len(m)
@@ -200,8 +212,14 @@ def symmetric_elimination(g: Matrix) -> tuple[list[list[int]], int]:
             m[k] = [a + sign * b for a, b in zip(m[k], m[j])]
             for row in m:
                 row[k] += sign * row[j]
-        _eliminate(m, k, rank, prev)
-        prev = m[k][k]
+        pivot, row_k = m[k][k], m[k]
+        for i in range(k + 1, rank):
+            row_i = m[i]
+            mik = row_i[k]
+            for j in range(i, rank):
+                row_i[j] = m[j][i] = (row_i[j] * pivot - mik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
         k += 1
     return m, rank
 
@@ -231,8 +249,8 @@ def rational_inverse(a: Matrix) -> Matrix:
 
 
 def smith_normal_form(
-    a: Matrix, modulus: int = 0, *, with_u: bool = True
-) -> tuple[Matrix | None, Matrix, Matrix]:
+    a: Matrix, modulus: int = 0, *, transforms: str = "full"
+) -> tuple[Matrix | None, Matrix, Matrix | None]:
     """Decompose an integer matrix as U @ A @ V = D.
 
     With the default ``modulus`` 0 the arithmetic is exact: U and V are
@@ -244,20 +262,25 @@ def smith_normal_form(
     With ``modulus`` m > 0 the same elimination runs modulo m (Cohen, GTM
     138, §2.4; Hafner-McCurley 1991), so entries stay below m in size: a
     working entry is replaced by its symmetric residue once |x| > m, and
-    the entries of U and V are reduced mod m, into (-m, m).  Then
-    U @ A @ V = D holds mod m, U and V are invertible mod m, and the
-    gcd(d_i, m) form a divisibility chain.  If A is square and
-    |det A| != 0 divides m, the invariant factors of Z^n / A Z^n are the
-    gcd(d_i, m).  Where no working entry outgrows m, the pivots and D are
-    those of the exact path, and U and V agree with it mod m.
+    the entries of U and V lie in [0, m).  Then U @ A @ V = D holds mod m,
+    U and V are invertible mod m, and the gcd(d_i, m) form a divisibility
+    chain.  If A is square and |det A| != 0 divides m, the invariant
+    factors of Z^n / A Z^n are the gcd(d_i, m).  Where no working entry
+    outgrows m, the pivots and D are those of the exact path, and U and V
+    agree with it mod m.
 
-    With ``with_u`` false, U is neither built nor returned (None stands in
-    its place).  No pivot choice reads U, so D and V are the same either way.
+    No pivot reads U or V: the elimination records its operations and
+    replays them afterwards onto only what ``transforms`` asks for.  "full"
+    builds U and V; "factor_v" only the columns of V, and "factor_u" only
+    the rows of U, at the factor positions i, those with gcd(d_i, m) != 1.
+    A transform not built is returned as None.
     """
     if not a.is_integral:
         raise ValueError("Smith normal form needs integer entries")
     if modulus < 0:
         raise ValueError("the modulus must be nonnegative")
+    if transforms not in ("full", "factor_v", "factor_u"):
+        raise ValueError(f"unknown transforms: {transforms}")
     m, h = modulus, modulus // 2
     if m:
 
@@ -279,10 +302,8 @@ def smith_normal_form(
         combine_mod = combine
 
     nr, nc = a.nrows, a.ncols
-    one = 0 if m == 1 else 1  # the identity mod m
-    u = [[one if i == j else 0 for j in range(nr)] for i in range(nr)] if with_u else None
-    # V is kept transposed, so that a column operation is a row operation
-    vt = [[one if i == j else 0 for j in range(nc)] for i in range(nc)]
+    # (i, j, c) records "line i += c * line j", and (i, j, None) swaps them
+    row_ops, col_ops = [], []
     # At step t, block[i][j] is entry (t+i, t+j) of the working matrix;
     # every entry outside the block and off the diagonal is already zero.
     # combine() with a zero row reduces the input entries that outgrow m.
@@ -291,13 +312,12 @@ def smith_normal_form(
 
     def swap_rows(t, i):
         block[0], block[i] = block[i], block[0]
-        if u is not None:
-            u[t], u[t + i] = u[t + i], u[t]
+        row_ops.append((t, t + i, None))
 
     def swap_cols(t, j):
         for row in block:
             row[0], row[j] = row[j], row[0]
-        vt[t], vt[t + j] = vt[t + j], vt[t]
+        col_ops.append((t, t + j, None))
 
     for t in range(min(nr, nc)):
         # the smallest nonzero |entry|, in the lowest row, then column
@@ -312,16 +332,14 @@ def smith_normal_form(
             # promoting it and starting again terminates.
             if block[0][0] < 0:
                 block[0] = [-x for x in block[0]]
-                if u is not None:
-                    u[t] = [-x for x in u[t]]
+                row_ops.append((t, t, -2))  # row t += -2 * row t
             row_t, pivot = block[0], block[0][0]
             promoted = False
             for i in range(1, len(block)):
                 if block[i][0]:
                     c = -(block[i][0] // pivot)
                     block[i] = combine(block[i], row_t, c)
-                    if u is not None:
-                        u[t + i] = combine_mod(u[t + i], u[t], c)
+                    row_ops.append((t + i, t, c))
                     if block[i][0]:
                         swap_rows(t, i)
                         promoted = True
@@ -334,7 +352,7 @@ def smith_normal_form(
                 if row_t[j]:
                     q = row_t[j] // pivot
                     row_t[j] -= q * pivot
-                    vt[t + j] = combine_mod(vt[t + j], vt[t], -q)
+                    col_ops.append((t + j, t, -q))
                     if row_t[j]:
                         swap_cols(t, j)
                         promoted = True
@@ -351,14 +369,30 @@ def smith_normal_form(
             if offender is None:
                 break
             block[0] = combine(row_t, block[offender], 1)
-            if u is not None:
-                u[t] = combine_mod(u[t], u[t + offender], 1)
+            row_ops.append((t, t + offender, 1))
         diag.append(pivot)
         block = [row[1:] for row in block[1:]]
-    d = [[0] * nc for _ in range(nr)]
-    for i, x in enumerate(diag):
-        d[i][i] = x
-    return None if u is None else Matrix(u), Matrix(d), Matrix(vt).transpose()
+    diag += [0] * max(nr, nc)
+    d = [[diag[i] if i == j else 0 for j in range(nc)] for i in range(nr)]
+
+    def replay(ops, size):
+        # Row p of U = E_K ... E_1 is e_p^T E_K ... E_1, and column p of
+        # V = F_1 ... F_K is F_1 ... F_K e_p: both apply the operations to
+        # e_p in reverse order, "line i += c * line j" as "entry j += c *
+        # entry i".  lines[i] holds entry i of every vector built.
+        keep = [p for p in range(size) if transforms == "full" or gcd(diag[p], m) != 1]
+        one = 0 if m == 1 else 1  # the identity mod m
+        lines = [[one if i == p else 0 for p in keep] for i in range(size)]
+        for i, j, c in reversed(ops):
+            if c is None:
+                lines[i], lines[j] = lines[j], lines[i]
+            else:
+                lines[j] = combine_mod(lines[j], lines[i], c)
+        return lines
+
+    u = None if transforms == "factor_v" else Matrix(zip(*replay(row_ops, nr)))
+    v = None if transforms == "factor_u" else Matrix(replay(col_ops, nc))
+    return u, Matrix(d), v
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from trielem.lattice import (
     is_p_elementary,
     lattice_from_dict,
     milgram_holds,
+    read_int_rows,
     rescale,
 )
 from trielem.linalg import Matrix, determinant, pair_value, signature, smith_normal_form
@@ -281,6 +283,30 @@ class TestMilgram:
             lattice_signature=(2, 0, 0),
         )
         assert not milgram_holds(forged)
+
+
+class Small(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+def test_read_int_rows_entry_types():
+    # int subclasses pass; bool and non-int entries fail, in any row
+    rows = [[Small.TWO, Small.ONE], [1, 2]]
+    assert read_int_rows({"gram": rows}, "gram") is rows
+    lat = lattice_from_dict({"gram": rows})
+    assert lat.gram == Matrix([[2, 1], [1, 2]])
+    assert {type(x) for row in lat.gram.entries for x in row} == {int}
+    for bad in ([[2, 1], [1, 2], [0, True]], [[2, 1.0], [1, 2]], [[2], ["1"]]):
+        with pytest.raises(ValueError, match='"gram" entries must be integers'):
+            read_int_rows({"gram": bad}, "gram")
+
+
+def test_lattice_keeps_an_int_gram_matrix():
+    g = Matrix([[2, 1], [1, 2]])
+    assert Lattice(g).gram is g
+    copied = Lattice(Matrix([[Fraction(2), 1], [1, 2]])).gram
+    assert copied == g and {type(x) for row in copied.entries for x in row} == {int}
 
 
 def test_lattice_from_dict():

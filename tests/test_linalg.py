@@ -6,7 +6,7 @@ import numpy
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trielem.catalog import build
@@ -236,15 +236,13 @@ class TestSmithNormalFormModular:
             m = determinant(a) ** 2
             u, d, v = smith_normal_form(a, modulus=m)
             _, exact, exact_v = smith_normal_form(a)
-            # no pivot choice reads U, so leaving it out keeps D and V
-            assert smith_normal_form(a, modulus=m, with_u=False) == (None, d, v)
             factors = [gcd(d[i, i], m) for i in range(n)]
             assert factors == [exact[i, i] for i in range(n)]
             assert tuple(f for f in factors if f > 1) == sympy_invariant_factors(a)
             assert all(d[i, j] == 0 for i in range(n) for j in range(n) if i != j)
-            # U A V = D mod m, and no stored entry of U or V reaches m
+            # U A V = D mod m, and every entry of U and V lies in [0, m)
             assert congruent(u @ a @ v, d, m)
-            assert all(abs(x) < m for w in (u, v) for row in w.entries for x in row)
+            assert all(0 <= x < m for w in (u, v) for row in w.entries for x in row)
             outgrown += d != exact or not congruent(v, exact_v, m)
         # the reduction is exercised (76 of the 200 here), not only exact steps
         assert outgrown > 50
@@ -261,6 +259,42 @@ class TestSmithNormalFormModular:
             assert modular[1] == exact[1], lat.name
             assert congruent(modular[0], exact[0], m), lat.name
             assert congruent(modular[2], exact[2], m), lat.name
+
+    def test_restricted_transforms_match_full_call(self):
+        # the replay builds the same rows of U and columns of V, at the
+        # factor positions only, with the same D
+        lattices = [pair.S for pair in enumerate_table1()] + [
+            pair.T for pair in enumerate_table1() if pair.T
+        ]
+        cases = modular_cases() + [lat.gram for lat in lattices]
+        assert len(cases) == 263
+        for a in cases:
+            m = determinant(a) ** 2
+            u, d, v = smith_normal_form(a, modulus=m)
+            positions = [i for i in range(a.nrows) if gcd(d[i, i], m) != 1]
+            no_u, d_v, v_cols = smith_normal_form(a, modulus=m, transforms="factor_v")
+            u_rows, d_u, no_v = smith_normal_form(a, modulus=m, transforms="factor_u")
+            assert no_u is None and no_v is None
+            assert d_v == d_u == d
+            assert v_cols == Matrix([[row[p] for p in positions] for row in v.entries])
+            assert u_rows == Matrix([u.row(p) for p in positions])
+            # restricted to the factors, U A V = D still holds mod m
+            if positions:
+                d_factors = Matrix([[d[p, q] for q in positions] for p in positions])
+                assert congruent(u_rows @ a @ v_cols, d_factors, m)
+
+    def test_restricted_transforms_exact(self):
+        # modulus 0: the factor positions are the d_i other than 1
+        a = Matrix([[2, 1, 0], [1, 2, 0], [0, 0, 6]])
+        u, d, v = smith_normal_form(a)
+        positions = [i for i in range(3) if d[i, i] != 1]
+        assert positions == [1, 2]
+        _, _, v_cols = smith_normal_form(a, transforms="factor_v")
+        u_rows, _, _ = smith_normal_form(a, transforms="factor_u")
+        assert v_cols == Matrix([[row[p] for p in positions] for row in v.entries])
+        assert u_rows == Matrix([u.row(p) for p in positions])
+        with pytest.raises(ValueError):
+            smith_normal_form(a, transforms="u")
 
     def test_modulus_one_and_negative(self):
         a = Matrix([[2, 1], [1, 2]])
@@ -460,6 +494,48 @@ class TestSignature:
             assert signature(a.scaled(-1)) == (minus, zero, plus)
 
 
+def full_block_elimination(g: Matrix):
+    """symmetric_elimination with a Bareiss step that computes every entry
+    of the active block, both triangles, from the previous ones."""
+    m = [list(row) for row in g.entries]
+    rank = len(m)
+    prev = 1
+    k = 0
+    while k < rank:
+        j = next((j for j in range(k, rank) if m[k][j]), None)
+        if j is None:
+            rank -= 1
+            m[k], m[rank] = m[rank], m[k]
+            for row in m:
+                row[k], row[rank] = row[rank], row[k]
+            continue
+        if j > k:
+            sign = 1 if m[j][j] + 2 * m[k][j] else -1
+            m[k] = [a + sign * b for a, b in zip(m[k], m[j])]
+            for row in m:
+                row[k] += sign * row[j]
+        for i in range(k + 1, rank):
+            old_i = list(m[i])
+            for j in range(k + 1, rank):
+                m[i][j] = (old_i[j] * m[k][k] - old_i[k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+        k += 1
+    return m, rank
+
+
+class TestSymmetricElimination:
+    """The half-block elimination against the full-block reference."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(symmetric_matrices())
+    @example(Matrix([[0, 1, 2], [1, 0, 3], [2, 3, 0]]))  # a repair at every step
+    @example(Matrix([[1, 1, 1], [1, 1, 1], [1, 1, 2]]))  # a zero pivot after a nonzero one
+    @example(Matrix([[0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 2], [0, 0, 2, 5]]))  # radical
+    def test_rows_match_full_block_reference(self, g):
+        assert symmetric_elimination(g) == full_block_elimination(g)
+
+
 def test_definite_elimination_factors_the_gram_matrix():
     # no zero leading minor, so no repair: the rows belong to g itself and
     # g = sum_k (D_{k+1}/D_k) l_k l_k^T with l_k = rows[k] / rows[k][k]
@@ -480,6 +556,37 @@ def test_definite_elimination_factors_the_gram_matrix():
                 for j in range(n):
                     product[i][j] += d * l[i] * l[j]
         assert Matrix(product) == g, name
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[2, -1], [-1, 2]],  # int, symmetric
+        [[1, 2], [3, 4]],  # int, not symmetric
+        [[Fraction(1, 2), 1], [1, 0]],  # Fraction, symmetric, not integral
+        [[Fraction(4, 2), 3], [Fraction(3), 1]],  # Fractions of denominator 1
+        [[1, 2, 3]],  # non-square
+        [[Fraction(1, 3)], [2]],  # non-square, not integral
+        [],  # 0 x 0
+    ],
+)
+def test_matrix_caches_match_fresh_computation(rows):
+    a = Matrix(rows)
+    n = len(rows)
+    integral = all(Fraction(x).denominator == 1 for row in rows for x in row)
+    symmetric = all(len(row) == n for row in rows) and all(
+        rows[i][j] == rows[j][i] for i in range(n) for j in range(n)
+    )
+    # the first round computes each value, the second reads it back
+    for _ in range(2):
+        assert a.is_integral is integral
+        assert a.is_symmetric is symmetric
+        assert hash(a) == hash(tuple(map(tuple, rows))) == hash(Matrix(rows))
+    # to_int copies only when some entry is not a plain int
+    if integral:
+        plain = a.to_int()
+        assert plain == a and {type(x) for row in plain.entries for x in row} <= {int}
+        assert (plain is a) == all(type(x) is int for row in rows for x in row)
 
 
 def test_pair_value():
