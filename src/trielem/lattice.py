@@ -7,9 +7,9 @@ quotient; that quotient, together with the induced Q/2Z-valued quadratic
 form on it, is the invariant the classification machinery matches.  The
 quotient comes from a Smith normal form of the Gram matrix taken modulo
 det^2, so its cost does not depend on how dense the basis is.  It builds
-only the columns of V at the factors, which give the generators; the rows
-of U there, which map a dual vector to its coordinates, come from a second
-run on the first ``coordinates_of`` call.
+only the columns of V at the factors, which give the generators; the row
+transform U, which maps a dual vector to its coordinates, is built on the
+first ``coordinates_of`` call.
 
 On a 3-elementary group, q is fixed by the F_3 normal form (s, det B mod 3)
 of B = 3*b on the generators (Nikulin 1979, §1; Conway-Sloane, SPLAG ch. 15),
@@ -58,8 +58,7 @@ def check_rank(rank: int, label: str) -> None:
 
 @dataclass(frozen=True, repr=False)
 class Lattice:
-    """A lattice given by its Gram matrix, kept as given when its entries
-    are plain ints; ``name`` is display metadata."""
+    """A lattice given by its Gram matrix; ``name`` is display metadata."""
 
     gram: Matrix
     name: str | None = None
@@ -145,12 +144,12 @@ class DiscriminantGroup:
 
     @cached_property
     def _coordinate_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The rows of U at the factor positions, from the Smith normal form
-        that gave the generators, run again for U alone.  No pivot choice
-        reads U, so the factors fall on the same rows and the rows match
-        the generators."""
+        """Row i of U for each factor, from the Smith normal form that gave
+        the generators, run again with U.  No pivot choice reads U, so the
+        factors fall on the same rows i and the rows match the generators."""
         m = self.order * self.order
-        return smith_normal_form(self._gram, modulus=m, transforms="factor_u")[0].entries
+        u, d, _ = smith_normal_form(self._gram, modulus=m)
+        return tuple(u.row(i) for i in range(self.rank) if gcd(d[i, i], m) > 1)
 
     def coordinates_of(self, vec) -> tuple[int, ...]:
         """Class of a dual vector in invariant-factor coordinates: the rows
@@ -203,7 +202,7 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     if det == 0:
         raise Degenerate("lattice is degenerate")
     m = det * det
-    _, d, v = smith_normal_form(g, modulus=m, transforms="factor_v")
+    _, d, v = smith_normal_form(g, modulus=m, factors_only=True)
     pivots = [d[i, i] for i in range(n) if gcd(d[i, i], m) > 1]
     factors = [gcd(c, m) for c in pivots]
     tables = {f: _Fractions(f) for f in factors}
@@ -229,27 +228,37 @@ def is_p_elementary(lat: Lattice, p: int) -> bool:
 class FiniteQuadraticForm:
     """Q/2Z-valued quadratic form on a discriminant group.
 
-    ``q_values`` is a read-only mapping from every coefficient tuple to its
-    value as a Fraction in [0, 2), evaluated on lookup; ``bilinear_values``
-    holds the associated pairing on generator pairs with values in [0, 1).
+    ``pairings`` holds the integers e * g_i.G g_j on the generators, e the
+    group exponent, and the rest is read from them: ``q_values`` is a
+    read-only mapping from every coefficient tuple to its value as a
+    Fraction in [0, 2), evaluated on lookup, and ``bilinear_values`` holds
+    the associated pairing on generator pairs with values in [0, 1).
     ``lattice_signature`` is the eigenvalue sign count of the source lattice,
     carried along for the Gauss-sum check.
     """
 
     group: DiscriminantGroup
-    q_values: Mapping
-    bilinear_values: Matrix
+    pairings: tuple[tuple[int, ...], ...]
     lattice_signature: tuple[int, int, int]
 
     def __repr__(self):
         return f"FiniteQuadraticForm(factors={list(self.group.invariant_factors)})"
 
     @cached_property
+    def q_values(self) -> Mapping:
+        return _QValues(self.group, self.pairings)
+
+    @cached_property
+    def bilinear_values(self) -> Matrix:
+        e = self.q_values.e
+        return Matrix([[Fraction(x % e, e) for x in row] for row in self.pairings])
+
+    @cached_property
     def _det_mod3(self) -> int:
         """det B mod 3 for B = 3*b on a 3-elementary group, where B = e*b is
-        congruent to the integer pairings mod 3.  Over F_3, B is congruent
-        to diag(1, ..., 1, det B), so (s, det B mod 3) is its normal form."""
-        return determinant(Matrix([[x % 3 for x in row] for row in self.q_values.pairs])) % 3
+        the matrix of pairings.  Over F_3, B is congruent to
+        diag(1, ..., 1, det B), so (s, det B mod 3) is its normal form."""
+        return determinant(Matrix([[x % 3 for x in row] for row in self.pairings])) % 3
 
 
 class _QValues(Mapping):
@@ -257,8 +266,9 @@ class _QValues(Mapping):
     generator pairings, which lie in (1/e)Z for the group exponent e,
     scaled by e to integers."""
 
-    def __init__(self, group: DiscriminantGroup, e: int, pairs):
-        self.group, self.e, self.pairs = group, e, pairs
+    def __init__(self, group: DiscriminantGroup, pairs):
+        self.group, self.pairs = group, pairs
+        self.e = max(group.invariant_factors, default=1)
 
     def __getitem__(self, coeffs):
         dims = self.group.invariant_factors
@@ -279,9 +289,8 @@ def discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
     """The discriminant quadratic form, from its values on the generators.
 
     W_i = d_i * g_i is an integer vector, so the pairing g_i.G g_j is
-    W_i.(G W_j) / (d_i d_j): one integer product G W_j per generator, a
-    sum of rows of the symmetric G over the few nonzero W_j[k] of a
-    canonical basis.  q is well defined mod 2 because the lattice is even.
+    W_i.(G W_j) / (d_i d_j): one integer product G W_j per generator.  q is
+    well defined mod 2 because the lattice is even.
     """
     if not is_even(lat):
         raise NotEven("the discriminant form needs an even lattice")
@@ -293,24 +302,12 @@ def discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
         [x.numerator * (d // x.denominator) for x in gen]
         for d, gen in zip(dims, group.generators)
     ]
-    gws = []
-    for w in ws:
-        gw = [0] * lat.rank
-        for x, row in zip(w, lat.gram.entries):
-            if x:
-                gw = [a + x * b for a, b in zip(gw, row)]
-        gws.append(gw)
-    pairs = [
-        [sum(map(mul, wi, gw)) * e // (di * dj) for gw, dj in zip(gws, dims)]
+    gws = [lat.gram.mul_vec(w) for w in ws]
+    pairings = tuple(
+        tuple(sum(map(mul, wi, gw)) * e // (di * dj) for gw, dj in zip(gws, dims))
         for wi, di in zip(ws, dims)
-    ]
-    fraction = _Fractions(e)
-    return FiniteQuadraticForm(
-        group=group,
-        q_values=_QValues(group, e, pairs),
-        bilinear_values=Matrix([[fraction[x % e] for x in row] for row in pairs]),
-        lattice_signature=signature(lat.gram),
     )
+    return FiniteQuadraticForm(group, pairings, signature(lat.gram))
 
 
 def _quadratic_sum(m: int, p: int, c: int) -> Cyclotomic:

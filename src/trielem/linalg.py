@@ -5,9 +5,8 @@ symmetric elimination gives both the determinant and the eigenvalue sign
 counts (Sylvester's law of inertia) of a symmetric integer matrix, and is
 run once per matrix; Bareiss elimination gives the determinant of any
 other square matrix.  Smith normal form runs exact or modulo a multiple of
-the determinant, and builds U and V by replaying its recorded operations
-onto only the rows or columns asked for; inverses are over the rationals.
-No floating point anywhere.
+the determinant, and builds U and V afterwards from its recorded steps;
+inverses are over the rationals.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -16,14 +15,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import NotSymmetric, SingularMatrix
 
 
 class Matrix:
-    """Immutable dense matrix with int or Fraction entries; its hash and
-    symmetry and integrality tests are kept once computed."""
+    """Immutable dense matrix with int or Fraction entries; caches its hash
+    and its symmetry and integrality tests."""
 
     __slots__ = ("entries", "_hash", "_symmetric", "_integral")
 
@@ -75,9 +75,6 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.entries[i]
 
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
-
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.entries)))
 
@@ -93,7 +90,7 @@ class Matrix:
         )
 
     def mul_vec(self, vec: Sequence) -> tuple:
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.entries)
+        return tuple(sum(map(mul, row, vec)) for row in self.entries)
 
     def scaled(self, c) -> "Matrix":
         return Matrix([[c * x for x in row] for row in self.entries])
@@ -146,21 +143,9 @@ def determinant(a: Matrix):
     return det if c == 1 else Fraction(det, c**n)
 
 
-def _eliminate(m, k: int, end: int, prev: int) -> None:
-    """One Bareiss step: clear column k below the pivot m[k][k] within rows
-    and columns k..end-1.  ``prev`` is the previous pivot, which divides
-    every updated entry exactly (Sylvester's determinant identity)."""
-    pivot = m[k][k]
-    row_k = m[k]
-    for i in range(k + 1, end):
-        row_i = m[i]
-        mik = row_i[k]
-        for j in range(k + 1, end):
-            row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
-        row_i[k] = 0
-
-
 def _det_bareiss(m):
+    """Fraction-free Bareiss elimination: the previous pivot divides every
+    updated entry exactly (Sylvester's determinant identity)."""
     n = len(m)
     sign = 1
     prev = 1
@@ -173,8 +158,13 @@ def _det_bareiss(m):
                     break
             else:
                 return 0
-        _eliminate(m, k, n, prev)
-        prev = m[k][k]
+        pivot, row_k = m[k][k], m[k]
+        for row_i in m[k + 1 :]:
+            mik = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
     return sign * m[n - 1][n - 1]
 
 
@@ -249,8 +239,8 @@ def rational_inverse(a: Matrix) -> Matrix:
 
 
 def smith_normal_form(
-    a: Matrix, modulus: int = 0, *, transforms: str = "full"
-) -> tuple[Matrix | None, Matrix, Matrix | None]:
+    a: Matrix, modulus: int = 0, *, factors_only: bool = False
+) -> tuple[Matrix | None, Matrix, Matrix]:
     """Decompose an integer matrix as U @ A @ V = D.
 
     With the default ``modulus`` 0 the arithmetic is exact: U and V are
@@ -270,17 +260,14 @@ def smith_normal_form(
     agree with it mod m.
 
     No pivot reads U or V: the elimination records its operations and
-    replays them afterwards onto only what ``transforms`` asks for.  "full"
-    builds U and V; "factor_v" only the columns of V, and "factor_u" only
-    the rows of U, at the factor positions i, those with gcd(d_i, m) != 1.
-    A transform not built is returned as None.
+    builds U and V afterwards by replaying them.  With ``factors_only``,
+    U is not built (None stands in its place) and V holds only its
+    columns at the factor positions i, those with gcd(d_i, m) != 1.
     """
     if not a.is_integral:
         raise ValueError("Smith normal form needs integer entries")
     if modulus < 0:
         raise ValueError("the modulus must be nonnegative")
-    if transforms not in ("full", "factor_v", "factor_u"):
-        raise ValueError(f"unknown transforms: {transforms}")
     m, h = modulus, modulus // 2
     if m:
 
@@ -380,7 +367,7 @@ def smith_normal_form(
         # V = F_1 ... F_K is F_1 ... F_K e_p: both apply the operations to
         # e_p in reverse order, "line i += c * line j" as "entry j += c *
         # entry i".  lines[i] holds entry i of every vector built.
-        keep = [p for p in range(size) if transforms == "full" or gcd(diag[p], m) != 1]
+        keep = [p for p in range(size) if not factors_only or gcd(diag[p], m) != 1]
         one = 0 if m == 1 else 1  # the identity mod m
         lines = [[one if i == p else 0 for p in keep] for i in range(size)]
         for i, j, c in reversed(ops):
@@ -390,9 +377,8 @@ def smith_normal_form(
                 lines[j] = combine_mod(lines[j], lines[i], c)
         return lines
 
-    u = None if transforms == "factor_v" else Matrix(zip(*replay(row_ops, nr)))
-    v = None if transforms == "factor_u" else Matrix(replay(col_ops, nc))
-    return u, Matrix(d), v
+    u = None if factors_only else Matrix(zip(*replay(row_ops, nr)))
+    return u, Matrix(d), Matrix(replay(col_ops, nc))
 
 
 @lru_cache(maxsize=None)

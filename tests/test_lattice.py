@@ -13,6 +13,7 @@ from trielem.classify import enumerate_table1
 from trielem.errors import Degenerate, NotElementary, NotEven, RankTooLarge, ZeroScale
 from trielem.lattice import (
     DiscriminantGroup,
+    FiniteQuadraticForm,
     Lattice,
     direct_sum,
     discriminant_form,
@@ -278,11 +279,29 @@ class TestMilgram:
         form = discriminant_form(build("A2"))
         forged = type(form)(
             group=form.group,
-            q_values=form.q_values,
-            bilinear_values=form.bilinear_values,
+            pairings=form.pairings,
             lattice_signature=(2, 0, 0),
         )
         assert not milgram_holds(forged)
+
+
+def test_form_reads_everything_from_its_pairings():
+    # a form built from plain nested lists of pairings: q, b and det B mod 3
+    # all follow from them, as they do for the form discriminant_form built
+    for lat in TABLE1_LATTICES:
+        form = discriminant_form(lat)
+        rebuilt = FiniteQuadraticForm(
+            form.group, [list(row) for row in form.pairings], form.lattice_signature
+        )
+        e = max(form.group.invariant_factors, default=1)
+        assert rebuilt.bilinear_values == form.bilinear_values == Matrix(
+            [[Fraction(x, e) % 1 for x in row] for row in form.pairings]
+        ), lat.name
+        assert rebuilt._det_mod3 == form._det_mod3 == normal_form(form)[1], lat.name
+        if form.group.order <= 3**4:
+            assert dict(rebuilt.q_values.items()) == dict(form.q_values.items()), lat.name
+        assert forms_match_opposite(rebuilt, form) == forms_match_opposite(form, form)
+        assert milgram_holds(rebuilt), lat.name
 
 
 class Small(IntEnum):
@@ -362,7 +381,7 @@ def exact_path_group(lat: Lattice) -> DiscriminantGroup:
     group = DiscriminantGroup(
         rank=lat.rank,
         invariant_factors=tuple(d[i, i] for i in positions),
-        generators=tuple(tuple(Fraction(x, d[i, i]) % 1 for x in v.column(i)) for i in positions),
+        generators=tuple(tuple(Fraction(x, d[i, i]) % 1 for x in v.transpose().row(i)) for i in positions),
         order=abs(determinant(lat.gram)),
         _gram=lat.gram,
     )

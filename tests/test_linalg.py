@@ -260,9 +260,9 @@ class TestSmithNormalFormModular:
             assert congruent(modular[0], exact[0], m), lat.name
             assert congruent(modular[2], exact[2], m), lat.name
 
-    def test_restricted_transforms_match_full_call(self):
-        # the replay builds the same rows of U and columns of V, at the
-        # factor positions only, with the same D
+    def test_factor_columns_match_full_call(self):
+        # the replay builds the same columns of V, at the factor positions
+        # only, with the same D
         lattices = [pair.S for pair in enumerate_table1()] + [
             pair.T for pair in enumerate_table1() if pair.T
         ]
@@ -272,29 +272,23 @@ class TestSmithNormalFormModular:
             m = determinant(a) ** 2
             u, d, v = smith_normal_form(a, modulus=m)
             positions = [i for i in range(a.nrows) if gcd(d[i, i], m) != 1]
-            no_u, d_v, v_cols = smith_normal_form(a, modulus=m, transforms="factor_v")
-            u_rows, d_u, no_v = smith_normal_form(a, modulus=m, transforms="factor_u")
-            assert no_u is None and no_v is None
-            assert d_v == d_u == d
+            no_u, d_f, v_cols = smith_normal_form(a, modulus=m, factors_only=True)
+            assert no_u is None and d_f == d
             assert v_cols == Matrix([[row[p] for p in positions] for row in v.entries])
-            assert u_rows == Matrix([u.row(p) for p in positions])
             # restricted to the factors, U A V = D still holds mod m
             if positions:
+                u_rows = Matrix([u.row(p) for p in positions])
                 d_factors = Matrix([[d[p, q] for q in positions] for p in positions])
                 assert congruent(u_rows @ a @ v_cols, d_factors, m)
 
-    def test_restricted_transforms_exact(self):
+    def test_factor_columns_exact(self):
         # modulus 0: the factor positions are the d_i other than 1
         a = Matrix([[2, 1, 0], [1, 2, 0], [0, 0, 6]])
-        u, d, v = smith_normal_form(a)
+        _, d, v = smith_normal_form(a)
         positions = [i for i in range(3) if d[i, i] != 1]
         assert positions == [1, 2]
-        _, _, v_cols = smith_normal_form(a, transforms="factor_v")
-        u_rows, _, _ = smith_normal_form(a, transforms="factor_u")
-        assert v_cols == Matrix([[row[p] for p in positions] for row in v.entries])
-        assert u_rows == Matrix([u.row(p) for p in positions])
-        with pytest.raises(ValueError):
-            smith_normal_form(a, transforms="u")
+        v_cols = Matrix([[row[p] for p in positions] for row in v.entries])
+        assert smith_normal_form(a, factors_only=True) == (None, d, v_cols)
 
     def test_modulus_one_and_negative(self):
         a = Matrix([[2, 1], [1, 2]])
