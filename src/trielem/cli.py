@@ -50,11 +50,19 @@ class CommandResult:
     payload: str
 
 
+def _read_json(path: str):
+    """A parsed JSON file; nesting too deep to parse is bad input as well."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _load_lattice(spec: str):
     """A path ending in ``.json`` to a file {"name", "gram"}, else a lattice
     expression (even when a file of that name exists)."""
     if spec.endswith(".json"):
-        return lattice_from_dict(json.loads(Path(spec).read_text()))
+        return lattice_from_dict(_read_json(spec))
     return parse_expr(spec)
 
 
@@ -197,7 +205,7 @@ def _cmd_verify_pair(args):
 
 def _cmd_isometry(args):
     lat = _load_lattice(args.lattice)
-    mat = matrix_from_dict(json.loads(Path(args.matrix).read_text()))
+    mat = matrix_from_dict(_read_json(args.matrix))
     ok = is_isometry(lat, mat)
     order = order_of(mat) if ok else None
     trivial = None

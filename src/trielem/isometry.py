@@ -55,8 +55,8 @@ def order_of(mat: Matrix, bound: int = ORDER_SEARCH_BOUND) -> int | None:
 @dataclass(frozen=True)
 class DiscriminantAction:
     """Induced map on the discriminant group, in invariant-factor
-    coordinates; ``trivial`` means every generator moves by a lattice
-    vector."""
+    coordinates, which send g_i to e_i; ``trivial`` means every generator
+    moves by a lattice vector, so the matrix is the identity."""
 
     matrix: Matrix
     trivial: bool
@@ -69,15 +69,9 @@ def discriminant_action(lat: Lattice, mat) -> DiscriminantAction:
     if not is_isometry(lat, mat):
         raise NotIsometry("matrix does not preserve the Gram matrix")
     group = discriminant_group(lat)
-    columns = []
-    trivial = True
-    for gen in group.generators:
-        image = mat.mul_vec(gen)
-        columns.append(group.coordinates_of(image))
-        if any(Fraction(a - b).denominator != 1 for a, b in zip(image, gen)):
-            trivial = False
-    action = Matrix(tuple(zip(*columns)) if columns else ())
-    return DiscriminantAction(matrix=action, trivial=trivial)
+    columns = [group.coordinates_of(mat.mul_vec(gen)) for gen in group.generators]
+    action = Matrix(tuple(zip(*columns)))
+    return DiscriminantAction(matrix=action, trivial=action == Matrix.identity(group.s))
 
 
 def _definite_sign(lat: Lattice) -> int:

@@ -7,9 +7,9 @@ quotient; that quotient, together with the induced Q/2Z-valued quadratic
 form on it, is the invariant the classification machinery matches.  The
 quotient comes from a Smith normal form of the Gram matrix taken modulo
 det^2, so its cost does not depend on how dense the basis is.  It builds
-only the columns of V at the factors, which give the generators; the row
-transform U, which maps a dual vector to its coordinates, is built on the
-first ``coordinates_of`` call.
+only the columns of V at the factors, which give the generators as integer
+lifts d_i * g_i; the row transform U, which maps a dual vector to its
+coordinates, is built on the first ``coordinates_of`` call.
 
 On a 3-elementary group, q is fixed by the F_3 normal form (s, det B mod 3)
 of B = 3*b on the generators (Nikulin 1979, §1; Conway-Sloane, SPLAG ch. 15),
@@ -113,15 +113,15 @@ def direct_sum(l1: Lattice, l2: Lattice) -> Lattice:
 class DiscriminantGroup:
     """The finite quotient (dual lattice)/(lattice).
 
-    ``generators`` are rational coset representatives in lattice-basis
-    coordinates, one per invariant factor, with entries reduced into [0, 1).
-    ``order`` is |det G|, and the generators come from the Smith normal form
-    of G modulo order^2 (see ``discriminant_group``).
+    ``lifts`` holds W_i = d_i * g_i, entries in [0, d_i), for the generators
+    g_i, coset representatives in lattice-basis coordinates, one per
+    invariant factor d_i.  ``order`` is |det G|, and the lifts come from the
+    Smith normal form of G modulo order^2 (see ``discriminant_group``).
     """
 
     rank: int
     invariant_factors: tuple[int, ...]
-    generators: tuple[tuple[Fraction, ...], ...]
+    lifts: tuple[tuple[int, ...], ...]
     order: int
     _gram: Matrix = field(compare=False)
 
@@ -141,6 +141,12 @@ class DiscriminantGroup:
             for i, x in enumerate(gen):
                 vec[i] += c * x
         return tuple(x % 1 for x in vec)
+
+    @cached_property
+    def generators(self) -> tuple[tuple[Fraction, ...], ...]:
+        """g_i = W_i / d_i, entries in [0, 1)."""
+        dims = self.invariant_factors
+        return tuple(tuple(Fraction(x, d) for x in w) for w, d in zip(self.lifts, dims))
 
     @cached_property
     def _coordinate_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -168,17 +174,6 @@ class DiscriminantGroup:
         return f"DiscriminantGroup(factors={list(self.invariant_factors)})"
 
 
-class _Fractions(dict):
-    """k -> Fraction(k, denominator), each value made once."""
-
-    def __init__(self, denominator: int):
-        self.denominator = denominator
-
-    def __missing__(self, k):
-        self[k] = value = Fraction(k, self.denominator)
-        return value
-
-
 @lru_cache(maxsize=None)
 def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     """Invariant factors and generators of (dual)/(lattice).
@@ -186,15 +181,16 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     G maps L* onto Z^n, so A_L = Z^n / G Z^n.  Its Smith normal form runs
     modulo m = D^2, D = |det G|, so no entry outgrows m however dense the
     basis: U @ G @ V = diag(c) mod m, and as D divides m the factor for c_i
-    is d_i = gcd(c_i, m).  The generator for d_i is g_i = w_i * v_i / d_i
-    mod 1, v_i column i of V and w_i the inverse of c_i / d_i mod d_i.  Then
-    U @ G @ g_i = w_i * (c_i / d_i) * e_i + (m / d_i) * z for an integer z,
-    and m / d_i is a multiple of D, hence of every d_j: row j of U, read
-    mod d_j, maps g_i to e_i.  (With m = D, a prime of d_i could divide
-    c_i / d_i, which then has no inverse.)  Where nothing outgrows m,
-    c_i = d_i and g_i is the generator of the exact path.  Only the
-    columns of V at the factor positions are built here; ``coordinates_of``
-    builds the rows of U it needs on its first call.
+    is d_i = gcd(c_i, m).  The generator for d_i is g_i = W_i / d_i, with
+    the integer lift W_i = w_i * v_i mod d_i, v_i column i of V and w_i the
+    inverse of c_i / d_i mod d_i.  Then U @ G @ g_i = w_i * (c_i / d_i) *
+    e_i + (m / d_i) * z for an integer z, and m / d_i is a multiple of D,
+    hence of every d_j: row j of U, read mod d_j, maps g_i to e_i.  (With
+    m = D, a prime of d_i could divide c_i / d_i, which then has no
+    inverse.)  Where nothing outgrows m, c_i = d_i and g_i is the generator
+    of the exact path.  Only the columns of V at the factor positions are
+    built here; ``coordinates_of`` builds the rows of U it needs on its
+    first call.
     """
     g = lat.gram
     n = lat.rank
@@ -205,15 +201,14 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     _, d, v = smith_normal_form(g, modulus=m, factors_only=True)
     pivots = [d[i, i] for i in range(n) if gcd(d[i, i], m) > 1]
     factors = [gcd(c, m) for c in pivots]
-    tables = {f: _Fractions(f) for f in factors}
-    gens = []
+    lifts = []
     for c, f, column in zip(pivots, factors, zip(*v.entries)):
-        unit, fraction = pow(c // f, -1, f), tables[f]
-        gens.append(tuple(fraction[unit * x % f] for x in column))
+        unit = pow(c // f, -1, f)
+        lifts.append(tuple(unit * x % f for x in column))
     return DiscriminantGroup(
         rank=n,
         invariant_factors=tuple(factors),
-        generators=tuple(gens),
+        lifts=tuple(lifts),
         order=det,
         _gram=g,
     )
@@ -288,24 +283,19 @@ class _QValues(Mapping):
 def discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
     """The discriminant quadratic form, from its values on the generators.
 
-    W_i = d_i * g_i is an integer vector, so the pairing g_i.G g_j is
-    W_i.(G W_j) / (d_i d_j): one integer product G W_j per generator.  q is
-    well defined mod 2 because the lattice is even.
+    The pairing g_i.G g_j is W_i.(G W_j) / (d_i d_j) on the integer lifts
+    W_i = d_i * g_i: one integer product G W_j per generator.  q is well
+    defined mod 2 because the lattice is even.
     """
     if not is_even(lat):
         raise NotEven("the discriminant form needs an even lattice")
     group = discriminant_group(lat)
     dims = group.invariant_factors
     e = max(dims, default=1)
-    # d * x in integer arithmetic: each denominator of g_i divides d_i
-    ws = [
-        [x.numerator * (d // x.denominator) for x in gen]
-        for d, gen in zip(dims, group.generators)
-    ]
-    gws = [lat.gram.mul_vec(w) for w in ws]
+    gws = [lat.gram.mul_vec(w) for w in group.lifts]
     pairings = tuple(
         tuple(sum(map(mul, wi, gw)) * e // (di * dj) for gw, dj in zip(gws, dims))
-        for wi, di in zip(ws, dims)
+        for wi, di in zip(group.lifts, dims)
     )
     return FiniteQuadraticForm(group, pairings, signature(lat.gram))
 

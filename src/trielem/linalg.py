@@ -6,7 +6,7 @@ counts (Sylvester's law of inertia) of a symmetric integer matrix, and is
 run once per matrix; Bareiss elimination gives the determinant of any
 other square matrix.  Smith normal form runs exact or modulo a multiple of
 the determinant, and builds U and V afterwards from its recorded steps;
-inverses are over the rationals.  No floating point anywhere.
+the exact one gives rational inverses too.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -215,27 +215,20 @@ def symmetric_elimination(g: Matrix) -> tuple[list[list[int]], int]:
 
 
 def rational_inverse(a: Matrix) -> Matrix:
-    """Exact inverse over the rationals; raises SingularMatrix when det = 0."""
+    """Exact inverse over the rationals; raises SingularMatrix when det = 0.
+    With U @ (c*A) @ V = D exact, c the common denominator of A and t the
+    last invariant factor, A^-1 = (c * V @ diag(t/d_i) @ U) / t."""
     if not a.is_square:
         raise ValueError("inverse of a non-square matrix")
     n = a.nrows
-    work = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(a.entries)
-    ]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if work[i][k]), None)
-        if pivot_row is None:
-            raise SingularMatrix("matrix has determinant zero")
-        if pivot_row != k:
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-        pivot = work[k][k]
-        work[k] = [x / pivot for x in work[k]]
-        for i in range(n):
-            if i != k and work[i][k]:
-                factor = work[i][k]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[k])]
-    return Matrix([row[n:] for row in work])
+    c = lcm(*(x.denominator for row in a.entries for x in row))
+    u, d, v = smith_normal_form(a.scaled(c))
+    top = d[n - 1, n - 1] if n else 1
+    if top == 0:
+        raise SingularMatrix("matrix has determinant zero")
+    scale = [c * top // d[i, i] for i in range(n)]
+    vd = Matrix([[x * s for x, s in zip(row, scale)] for row in v.entries])
+    return Matrix([[Fraction(x, top) for x in row] for row in (vd @ u).entries])
 
 
 def smith_normal_form(

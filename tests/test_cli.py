@@ -13,6 +13,9 @@ from trielem.linalg import Matrix, determinant, signature
 
 GOLDENS = Path(__file__).resolve().parents[1] / "goldens"
 
+# JSON nesting depth far beyond the parser's recursion limit
+DEEP = 200_000
+
 
 def lattice_fingerprint(expr):
     lat = parse_expr(expr)
@@ -130,6 +133,14 @@ class TestLatticeInfo:
             result = run(["lattice", spec])
             assert result.exit_code == 2, spec
             assert "exceeds the limit of 64" in result.payload
+
+    def test_deeply_nested_file_exits_2(self, tmp_path):
+        # json.loads raises RecursionError, not a decode error, on this
+        path = tmp_path / "deep.json"
+        path.write_text("[" * DEEP + "]" * DEEP)
+        result = run(["lattice", str(path)])
+        assert result.exit_code == 2
+        assert result.payload == f"error: {path}: JSON nested too deeply"
 
     def test_large_group_needs_no_enumeration(self):
         # |A| = 3^22; the form is read off its generators
@@ -269,6 +280,13 @@ class TestIsometryCommand:
     def test_missing_file_exits_2(self):
         result = run(["isometry", "--lattice", "U", "--matrix", "no-such-file.json"])
         assert result.exit_code == 2
+
+    def test_deeply_nested_matrix_exits_2(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * DEEP + "]" * DEEP)
+        result = run(["isometry", "--lattice", "U", "--matrix", str(path)])
+        assert result.exit_code == 2
+        assert result.payload == f"error: {path}: JSON nested too deeply"
 
     def test_matrix_above_rank_cap_exits_2(self, tmp_path):
         path = tmp_path / "big.json"

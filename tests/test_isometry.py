@@ -32,6 +32,16 @@ A2 = build("A2")
 A2_ROTATION = Matrix([[0, -1], [1, -1]])  # e1 -> e2, e2 -> -e1-e2
 
 
+def moves_generators_by_lattice_vectors(lat, mat):
+    """sigma acts trivially on A_L iff sigma(g_i) - g_i is integral for
+    every generator g_i: a test in the lattice, not in A_L's coordinates."""
+    for gen in discriminant_group(lat).generators:
+        moved = mat.mul_vec(gen)
+        if any(Fraction(a - b).denominator != 1 for a, b in zip(moved, gen)):
+            return False
+    return True
+
+
 class TestIsIsometry:
     def test_witness_matrix(self):
         w = order3_isometry_u3_u()
@@ -94,6 +104,26 @@ class TestDiscriminantAction:
     def test_not_isometry(self):
         with pytest.raises(NotIsometry):
             discriminant_action(build("U"), Matrix([[1, 1], [0, 1]]))
+
+    @pytest.mark.parametrize("expr", ["A2", "A2(3)", "D4", "A4", "A2+A2"])
+    def test_trivial_matches_lattice_vector_test(self, expr):
+        lat = parse_expr(expr)
+        identity = Matrix.identity(discriminant_group(lat).s)
+        seen = set()
+        for iso in enumerate_isometries(lat):
+            action = discriminant_action(lat, iso)
+            moved_by_lattice = moves_generators_by_lattice_vectors(lat, iso.matrix)
+            assert action.trivial == moved_by_lattice == (action.matrix == identity)
+            seen.add(action.trivial)
+        # each group has elements of both kinds, so the check can fail
+        assert seen == {True, False}, expr
+
+    def test_witnesses_trivial_by_lattice_vector_test(self):
+        for w in (order3_isometry_u3_u(), order3_isometry_u_u()):
+            action = discriminant_action(w.lattice, w)
+            assert moves_generators_by_lattice_vectors(w.lattice, w.matrix)
+            assert action.trivial
+            assert action.matrix == Matrix.identity(discriminant_group(w.lattice).s)
 
     def test_action_is_homomorphism(self):
         group = enumerate_isometries(A2)

@@ -375,13 +375,13 @@ def dense_basis(lat: Lattice, rng) -> Lattice:
 
 def exact_path_group(lat: Lattice) -> DiscriminantGroup:
     """The group read off the exact Smith normal form, as the modular path
-    does while nothing outgrows det^2: generators (column i of V) / d_i."""
+    does while nothing outgrows det^2: lifts column i of V mod d_i."""
     u, d, v = smith_normal_form(lat.gram)
     positions = [i for i in range(lat.rank) if d[i, i] > 1]
     group = DiscriminantGroup(
         rank=lat.rank,
         invariant_factors=tuple(d[i, i] for i in positions),
-        generators=tuple(tuple(Fraction(x, d[i, i]) % 1 for x in v.transpose().row(i)) for i in positions),
+        lifts=tuple(tuple(x % d[i, i] for x in v.transpose().row(i)) for i in positions),
         order=abs(determinant(lat.gram)),
         _gram=lat.gram,
     )
@@ -413,6 +413,16 @@ class TestDenseBases:
             d = sympy_smith_normal_form(sympy.Matrix(lat.gram.entries), domain=sympy.ZZ)
             expected = sorted(abs(int(d[i, i])) for i in range(lat.rank) if abs(d[i, i]) != 1)
             assert list(factors) == expected, lat.name
+
+    def test_lifts(self, dense_table1):
+        for lat in TABLE1_LATTICES + dense_table1:
+            group = discriminant_group(lat)
+            assert len(group.lifts) == group.s, lat.name
+            for w, d, gen in zip(group.lifts, group.invariant_factors, group.generators):
+                assert all(type(x) is int and 0 <= x < d for x in w), lat.name
+                # G W_i = d_i G g_i, and G g_i is integral for g_i in L*
+                assert all(y % d == 0 for y in lat.gram.mul_vec(w)), lat.name
+                assert gen == tuple(Fraction(x, d) for x in w), lat.name
 
     def test_generators(self, dense_table1):
         for lat in dense_table1:

@@ -40,6 +40,27 @@ def random_symmetric(rng, n, bound=20):
     return Matrix(rows)
 
 
+@st.composite
+def square_matrices(draw):
+    """Square matrices of size 0 to 5, mostly not symmetric, with entries
+    all int or all Fraction; in about half the draws of size 2 or more the
+    last row is a combination of the first two, so the matrix is singular."""
+    n = draw(st.integers(0, 5))
+    entry = draw(
+        st.sampled_from(
+            (
+                st.integers(-9, 9),
+                st.fractions(min_value=-9, max_value=9, max_denominator=12),
+            )
+        )
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        a, b = draw(entry), draw(entry)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
 def char_poly(rows):
     """Coefficients [1, c1, ..., cn] of det(x*I - A) by the trace recursion,
     in which every intermediate matrix stays integral for integral input."""
@@ -416,6 +437,30 @@ class TestRationalInverse:
             if determinant(a) == 0:
                 continue
             assert rational_inverse(a) @ a == Matrix.identity(n)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(square_matrices())
+    @example([])
+    def test_matches_sympy(self, rows):
+        a = Matrix(rows)
+        n = a.nrows
+        expected = sympy.Matrix(
+            n, n, [sympy.Rational(x.numerator, x.denominator) for row in rows for x in row]
+        )
+        if expected.det() == 0:
+            with pytest.raises(SingularMatrix):
+                rational_inverse(a)
+            return
+        inv = rational_inverse(a)
+        assert all(type(x) is Fraction for row in inv.entries for x in row)
+        expected = expected.inv()
+        assert inv == Matrix(
+            [[Fraction(int(expected[i, j].p), int(expected[i, j].q)) for j in range(n)] for i in range(n)]
+        )
+
+    def test_non_square(self):
+        with pytest.raises(ValueError):
+            rational_inverse(Matrix([[1, 2, 3], [4, 5, 6]]))
 
 
 class TestSignature:
