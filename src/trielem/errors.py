@@ -74,6 +74,11 @@ class GroupTooLarge(TrielemError):
     may visit."""
 
 
+class SearchTooLarge(TrielemError):
+    """A short-vector or isometry search would do more work than its budget
+    allows."""
+
+
 class InvalidRho(TrielemError):
     """Picard number outside the admissible range."""
 

@@ -1,29 +1,66 @@
 """Lattice isometries: verification, induced maps on the discriminant
 group, exhaustive short-vector and isometry-group enumeration for small
-definite lattices, and explicit order-3 witnesses on hyperbolic sums.
+definite lattices under one work budget, the order-3 search (a root-pair
+witness first, the whole group only without one), and explicit order-3
+witnesses on hyperbolic sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, floor, isqrt
+from functools import cached_property
+from math import isqrt, lcm
+from operator import mul
 
 from .catalog import parse_expr
-from .errors import NotDefinite, NotIsometry, RankTooLarge, SizeMismatch
-from .lattice import Lattice, discriminant_group, read_int_rows
+from .errors import NotDefinite, NotIsometry, RankTooLarge, SearchTooLarge, SizeMismatch
+from .lattice import DiscriminantGroup, Lattice, discriminant_group, read_int_rows
 from .linalg import Matrix, signature, symmetric_elimination
 
 ORDER_SEARCH_BOUND = 66
+# Work one search may do: nodes visited plus vectors kept, summed over the
+# short-vector and isometry enumerations it runs.  A2(3)^3 (10,368
+# isometries) uses 79,526 units and D4(3), the largest benchmark search,
+# 7,208.  On a 2-core x86 host, A1^8, E8(3), A2(3)^4 and A1^7+A1(1000)
+# stop at the limit within 0.6 s, and A1^6 (352,718 units) answers in 2 s.
+SEARCH_BUDGET = 400_000
+
+
+class SearchBudget:
+    """The work left to one search; ``spend`` raises SearchTooLarge once
+    more than SEARCH_BUDGET units are used."""
+
+    def __init__(self):
+        self.used = 0
+
+    def spend(self, units: int = 1):
+        self.used += units
+        if self.used > SEARCH_BUDGET:
+            raise SearchTooLarge(
+                f"the search takes at least {self.used} steps (nodes visited plus "
+                f"vectors kept), above the limit of {SEARCH_BUDGET}"
+            )
 
 
 def is_isometry(lat: Lattice, mat: Matrix) -> bool:
-    """True iff the integer matrix preserves the Gram matrix."""
+    """True iff the integer matrix preserves the Gram matrix: c_i.(G c_j) =
+    g_ij for its columns c_i and i <= j, which covers every entry as G is
+    symmetric.  G c_j sums the rows of G at the nonzero entries of c_j."""
     if not mat.is_square or mat.nrows != lat.rank:
         raise SizeMismatch("matrix size must equal the lattice rank")
     if not mat.is_integral:
         return False
-    return mat.transpose() @ lat.gram @ mat == lat.gram
+    rows = lat.gram.entries
+    columns = tuple(zip(*mat.entries))
+    for j, column in enumerate(columns):
+        g_column = [0] * len(rows)
+        for x, row in zip(column, rows):
+            if x:
+                g_column = [a + x * b for a, b in zip(g_column, row)]
+        for i in range(j + 1):
+            if sum(map(mul, columns[i], g_column)) != rows[i][j]:
+                return False
+    return True
 
 
 @dataclass(frozen=True, repr=False)
@@ -54,24 +91,39 @@ def order_of(mat: Matrix, bound: int = ORDER_SEARCH_BOUND) -> int | None:
 
 @dataclass(frozen=True)
 class DiscriminantAction:
-    """Induced map on the discriminant group, in invariant-factor
-    coordinates, which send g_i to e_i; ``trivial`` means every generator
-    moves by a lattice vector, so the matrix is the identity."""
+    """Induced map of an isometry on the discriminant group.
 
-    matrix: Matrix
+    ``trivial`` means the map is the identity: sigma(g_i) - g_i lies in the
+    lattice for every generator g_i = W_i / d_i, that is sigma(W_i) = W_i
+    mod d_i on the integer lifts.  ``matrix`` is the map in invariant-factor
+    coordinates, which send g_i to e_i, built on its first read.
+    """
+
+    group: DiscriminantGroup
+    isometry: Matrix
     trivial: bool
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        group = self.group
+        columns = [group.coordinates_of(self.isometry.mul_vec(gen)) for gen in group.generators]
+        return Matrix(tuple(zip(*columns)))
 
 
 def discriminant_action(lat: Lattice, mat) -> DiscriminantAction:
-    """Extend an isometry over the dual and reduce it to the quotient."""
+    """Extend an isometry over the dual and reduce it to the quotient.  An
+    ``Isometry`` of this Gram matrix was checked when it was built."""
+    checked = isinstance(mat, Isometry) and mat.lattice.gram == lat.gram
     if isinstance(mat, Isometry):
         mat = mat.matrix
-    if not is_isometry(lat, mat):
+    if not checked and not is_isometry(lat, mat):
         raise NotIsometry("matrix does not preserve the Gram matrix")
     group = discriminant_group(lat)
-    columns = [group.coordinates_of(mat.mul_vec(gen)) for gen in group.generators]
-    action = Matrix(tuple(zip(*columns)))
-    return DiscriminantAction(matrix=action, trivial=action == Matrix.identity(group.s))
+    trivial = all(
+        all((a - b) % d == 0 for a, b in zip(mat.mul_vec(w), w))
+        for w, d in zip(group.lifts, group.invariant_factors)
+    )
+    return DiscriminantAction(group=group, isometry=mat, trivial=trivial)
 
 
 def _definite_sign(lat: Lattice) -> int:
@@ -81,28 +133,25 @@ def _definite_sign(lat: Lattice) -> int:
     return -1 if minus else 1
 
 
-def _interval(center: Fraction, bound: Fraction) -> tuple[int, int]:
-    """Integers x with (x + center)^2 <= bound, as [lo, hi] (empty if lo>hi)."""
-    if bound < 0:
-        return (0, -1)
-    r = isqrt(bound.numerator // bound.denominator) + 1
-    lo = ceil(-center) - r - 1
-    hi = floor(-center) + r + 1
-    while hi >= lo and (hi + center) ** 2 > bound:
-        hi -= 1
-    while lo <= hi and (lo + center) ** 2 > bound:
-        lo += 1
-    return lo, hi
+def _check_enumerable(lat: Lattice):
+    _definite_sign(lat)
+    if lat.rank > 8:
+        raise RankTooLarge("isometry enumeration is guarded to rank <= 8")
 
 
-def short_vectors(lat: Lattice, target_norm: int) -> list[tuple[int, ...]]:
+def short_vectors(
+    lat: Lattice, target_norm: int, budget: SearchBudget | None = None
+) -> list[tuple[int, ...]]:
     """All integer vectors of the given norm in a definite lattice.
 
-    Backtracking over the exact completed-square decomposition
-    g = sum_k d_k (x_k + sum_{j>k} c_kj x_j)^2 read off the fraction-free
-    elimination of the Gram matrix: d_k = D_{k+1}/D_k from its leading
-    minors and c_kj = rows[k][j]/rows[k][k].  The returned list is complete,
-    duplicate-free, and sorted lexicographically.
+    Backtracking over the completed squares of the fraction-free elimination
+    of the Gram matrix g: with its rows r_k and leading minors D_0 = 1,
+    D_{k+1} = r_k[k], g(x) = sum_k y_k^2 / (D_k D_{k+1}) for the integers
+    y_k = sum_{j>=k} r_k[j] x_j.  Scaled by P = lcm_k(D_k D_{k+1}), each term
+    is the integer w_k y_k^2, so the bound |y_k| <= isqrt(rest // w_k) on
+    the scaled rest gives x_k's range exactly.  The returned list is
+    complete, duplicate-free, and sorted lexicographically.  Each node and
+    each vector found is spent from ``budget`` (a fresh one by default).
     """
     n = lat.rank
     if n == 0:
@@ -114,78 +163,132 @@ def short_vectors(lat: Lattice, target_norm: int) -> list[tuple[int, ...]]:
         return []
     if t == 0:
         return [(0,) * n]
+    if budget is None:
+        budget = SearchBudget()
     rows, _ = symmetric_elimination(g)
     minors = [1] + [rows[k][k] for k in range(n)]
-    diag = [Fraction(minors[k + 1], minors[k]) for k in range(n)]
-    coef = [[Fraction(x, row[k]) for x in row] for k, row in enumerate(rows)]
+    scale = lcm(*(minors[k] * minors[k + 1] for k in range(n)))
+    weights = [scale // (minors[k] * minors[k + 1]) for k in range(n)]
     found: list[tuple[int, ...]] = []
     vec = [0] * n
 
-    def descend(i: int, remaining: Fraction):
+    def descend(i: int, rest: int):
+        budget.spend()
         if i < 0:
-            if remaining == 0:
+            if rest == 0:
+                budget.spend()
                 found.append(tuple(vec))
             return
-        center = sum((coef[i][j] * vec[j] for j in range(i + 1, n)), Fraction(0))
-        lo, hi = _interval(center, remaining / diag[i])
-        for x in range(lo, hi + 1):
-            term = diag[i] * (x + center) ** 2
-            if term <= remaining:
-                vec[i] = x
-                descend(i - 1, remaining - term)
+        row, weight = rows[i], weights[i]
+        pivot = row[i]
+        shift = sum(map(mul, row[i + 1 :], vec[i + 1 :]))
+        bound = isqrt(rest // weight)
+        for x in range(-((bound + shift) // pivot), (bound - shift) // pivot + 1):
+            y = pivot * x + shift
+            vec[i] = x
+            descend(i - 1, rest - weight * y * y)
         vec[i] = 0
 
-    descend(n - 1, Fraction(t))
+    descend(n - 1, t * scale)
     found.sort()
     return found
 
 
-def enumerate_isometries(lat: Lattice) -> list[Isometry]:
+def enumerate_isometries(lat: Lattice, budget: SearchBudget | None = None) -> list[Isometry]:
     """The full isometry group of a small definite lattice.
 
-    Basis-vector images are matched against short-vector candidates of the
-    right norm, pruning on pairwise products; any full match automatically
-    has determinant +-1.  Guarded to rank <= 8.
+    The images of the basis vectors are drawn from the short vectors of
+    their norms, indexed once in sorted order.  Each candidate keeps the
+    set of candidates with each pair value, so the candidates for column j
+    are its norm class intersected with those compatible with every column
+    already placed (Plesken-Souvignier 1997).  Columns are placed level by
+    level, each level in ascending index order, so the group comes out
+    sorted by column indices, and a group too large for ``budget`` uses it
+    up before any element is built: each element spends its n columns.  Any
+    full match has determinant +-1.  Guarded to rank <= 8.
     """
     n = lat.rank
     if n == 0:
         return [Isometry(lat, Matrix.identity(0))]
-    _definite_sign(lat)
-    if n > 8:
-        raise RankTooLarge("isometry enumeration is guarded to rank <= 8")
+    _check_enumerable(lat)
+    if budget is None:
+        budget = SearchBudget()
     g = lat.gram
-    candidates = {}
+    vectors: list[tuple[int, ...]] = []
+    classes: dict[int, frozenset[int]] = {}
     for j in range(n):
         norm = g[j, j]
-        if norm not in candidates:
-            candidates[norm] = [(v, g.mul_vec(v)) for v in short_vectors(lat, norm)]
-    chosen: list[tuple[int, ...]] = []
+        if norm not in classes:
+            start = len(vectors)
+            vectors += short_vectors(lat, norm, budget)
+            classes[norm] = frozenset(range(start, len(vectors)))
+    compatible = []
+    for vector in vectors:
+        budget.spend(len(vectors))
+        g_vector = g.mul_vec(vector)
+        by_value: dict[int, set[int]] = {}
+        for k, other in enumerate(vectors):
+            by_value.setdefault(sum(map(mul, other, g_vector)), set()).add(k)
+        compatible.append(by_value)
+    empty = frozenset()
+    level: list[tuple[int, ...]] = [()]
+    for j, row in enumerate(g.entries):
+        placed = []
+        for partial in level:
+            allowed = classes[row[j]]
+            for k, value in zip(partial, row):
+                allowed = allowed & compatible[k].get(value, empty)
+            budget.spend(len(allowed))
+            placed += [partial + (k,) for k in sorted(allowed)]
+        level = placed
+    budget.spend(n * len(level))
     out: list[Isometry] = []
-
-    def place(j: int):
-        if j == n:
-            out.append(Isometry(lat, Matrix(tuple(zip(*chosen)))))
-            return
-        for vector, g_vector in candidates[g[j, j]]:
-            if all(
-                sum(a * b for a, b in zip(chosen[i], g_vector)) == g[i, j]
-                for i in range(j)
-            ):
-                chosen.append(vector)
-                place(j + 1)
-                chosen.pop()
-
-    place(0)
+    for partial in level:
+        columns = [vectors[k] for k in partial]
+        out.append(Isometry(lat, Matrix(tuple(zip(*columns)))))
     return out
 
 
+def _reflection(g: Matrix, root: tuple[int, ...], sign: int) -> Matrix:
+    """s_r(x) = x - sign * (x.r) r for a root r with r.r = 2 * sign."""
+    g_root = g.mul_vec(root)
+    return Matrix(
+        [[int(i == k) - sign * r * gr for k, gr in enumerate(g_root)] for i, r in enumerate(root)]
+    )
+
+
+def _root_pair_witness(lat: Lattice, budget: SearchBudget | None = None) -> Matrix | None:
+    """s_a s_b for the first roots a, b in sorted order with |a.b| = 1, or
+    None.  Reflections act trivially on the discriminant group, since
+    s_r(x) - x is a multiple of r for x in the dual, and a, b span an A2,
+    so s_a s_b has order 3."""
+    sign = _definite_sign(lat)
+    roots = short_vectors(lat, 2 * sign, budget)
+    g = lat.gram
+    for i, a in enumerate(roots):
+        g_a = g.mul_vec(a)
+        for b in roots[i + 1 :]:
+            if abs(sum(map(mul, b, g_a))) == 1:
+                return _reflection(g, a, sign) @ _reflection(g, b, sign)
+    return None
+
+
 def has_order3_trivial_on_A(lat: Lattice) -> bool:
-    """Search the full isometry group for an order-3 element inducing the
-    identity on the discriminant group."""
-    for iso in enumerate_isometries(lat):
-        if order_of(iso.matrix, bound=3) == 3:
-            if discriminant_action(lat, iso.matrix).trivial:
-                return True
+    """Whether an order-3 isometry induces the identity on the discriminant
+    group.  A root-pair witness that passes both checks answers; without
+    one, the whole isometry group is searched under one budget."""
+    _check_enumerable(lat)
+    budget = SearchBudget()
+    witness = _root_pair_witness(lat, budget)
+    if (
+        witness is not None
+        and order_of(witness, bound=3) == 3
+        and discriminant_action(lat, witness).trivial
+    ):
+        return True
+    for iso in enumerate_isometries(lat, budget):
+        if discriminant_action(lat, iso).trivial and order_of(iso.matrix, bound=3) == 3:
+            return True
     return False
 
 

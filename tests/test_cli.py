@@ -8,6 +8,7 @@ from pathlib import Path
 from trielem.catalog import parse_expr
 from trielem.classify import verify_pair
 from trielem.cli import main, run
+from trielem.isometry import SEARCH_BUDGET
 from trielem.lattice import discriminant_group
 from trielem.linalg import Matrix, determinant, signature
 
@@ -309,6 +310,27 @@ class TestSearchOrder3:
 
     def test_indefinite_is_invalid_input(self):
         assert run(["search-order3", "--lattice", "U"]).exit_code == 2
+
+    def test_exceptional_root_lattices_answer_from_a_root_pair(self):
+        # their groups have 103,680 to 696,729,600 elements; two roots answer
+        for expr in ("E6", "E7", "E8"):
+            start = time.perf_counter()
+            result = run(["search-order3", "--lattice", expr, "--format", "json"])
+            assert time.perf_counter() - start < 1.0, expr
+            assert result.exit_code == 0, expr
+            assert json.loads(result.payload)["found"] is True, expr
+
+    def test_searches_past_the_budget_exit_2(self):
+        # no root pair, so the whole group would be listed: 10,321,920
+        # elements (A1^8), 696,729,600 (E8(3)) and 497,664 (A2(3)^4); and
+        # A1^7+A1(1000) has over 10^8 vectors of its last basis norm
+        for expr in ("A1^8", "E8(3)", "A2(3)^4", "A1^7+A1(1000)"):
+            start = time.perf_counter()
+            result = run(["search-order3", "--lattice", expr])
+            assert time.perf_counter() - start < 2.0, expr
+            assert result.exit_code == 2, expr
+            assert result.payload.startswith("error: the search takes at least "), expr
+            assert result.payload.endswith(f"above the limit of {SEARCH_BUDGET}"), expr
 
 
 class TestLefschetzCommand:

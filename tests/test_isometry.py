@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import factorial, floor, isqrt
 
 import pytest
 
@@ -11,10 +12,14 @@ from trielem.errors import (
     NotDefinite,
     NotIsometry,
     RankTooLarge,
+    SearchTooLarge,
     SizeMismatch,
+    TrielemError,
 )
 from trielem.isometry import (
     Isometry,
+    SearchBudget,
+    _root_pair_witness,
     discriminant_action,
     enumerate_isometries,
     has_order3_trivial_on_A,
@@ -26,7 +31,7 @@ from trielem.isometry import (
     short_vectors,
 )
 from trielem.lattice import Lattice, direct_sum, discriminant_group, lattice_from_dict, rescale
-from trielem.linalg import Matrix, determinant, pair_value
+from trielem.linalg import Matrix, determinant, pair_value, rational_inverse, signature
 
 A2 = build("A2")
 A2_ROTATION = Matrix([[0, -1], [1, -1]])  # e1 -> e2, e2 -> -e1-e2
@@ -40,6 +45,70 @@ def moves_generators_by_lattice_vectors(lat, mat):
         if any(Fraction(a - b).denominator != 1 for a, b in zip(moved, gen)):
             return False
     return True
+
+
+def backtracking_group(lat):
+    """Every isometry, one at a time, from the plain backtracking search:
+    column j runs through the short vectors of norm g_jj in sorted order
+    and is kept when its products with the columns already placed match
+    the Gram matrix."""
+    n = lat.rank
+    g = lat.gram
+    candidates = {}
+    for j in range(n):
+        norm = g[j, j]
+        if norm not in candidates:
+            candidates[norm] = [(v, g.mul_vec(v)) for v in short_vectors(lat, norm)]
+    chosen = []
+
+    def place(j):
+        if j == n:
+            yield Matrix(tuple(zip(*chosen)))
+            return
+        for vector, g_vector in candidates[g[j, j]]:
+            if all(
+                sum(a * b for a, b in zip(chosen[i], g_vector)) == g[i, j]
+                for i in range(j)
+            ):
+                chosen.append(vector)
+                yield from place(j + 1)
+                chosen.pop()
+
+    yield from place(0)
+
+
+def backtracking_search(lat):
+    """The order-3 search over every element, with the Fraction test."""
+    return any(
+        order_of(mat, bound=3) == 3 and moves_generators_by_lattice_vectors(lat, mat)
+        for mat in backtracking_group(lat)
+    )
+
+
+def conjugate(lat, rng):
+    """P^T G P for a seed-drawn signed permutation P."""
+    n = lat.rank
+    perm = list(range(n))
+    rng.shuffle(perm)
+    p = Matrix([[rng.choice((-1, 1)) if perm[j] == i else 0 for j in range(n)] for i in range(n)])
+    return Lattice(p.transpose() @ lat.gram @ p)
+
+
+# The order3-search benchmark lattices, with their answers.
+BENCHMARK_LATTICES = (
+    ("A2", True),
+    ("A2^2", True),
+    ("A3", True),
+    ("A4", True),
+    ("A5", True),
+    ("D4", True),
+    ("D5", True),
+    ("A2+A2(3)", True),
+    ("A2(3)", False),
+    ("A2(3)^2", False),
+    ("D4(3)", False),
+    ("A1^4", False),
+)
 
 
 class TestIsIsometry:
@@ -105,6 +174,15 @@ class TestDiscriminantAction:
         with pytest.raises(NotIsometry):
             discriminant_action(build("U"), Matrix([[1, 1], [0, 1]]))
 
+    def test_isometry_of_the_lattice_is_not_checked_again(self, monkeypatch):
+        w = order3_isometry_u3_u()
+        checks = []
+        monkeypatch.setattr(isometry_module, "is_isometry", lambda *args: checks.append(args) or True)
+        assert discriminant_action(w.lattice, w).trivial
+        assert checks == []
+        discriminant_action(w.lattice, w.matrix)
+        assert len(checks) == 1
+
     @pytest.mark.parametrize("expr", ["A2", "A2(3)", "D4", "A4", "A2+A2"])
     def test_trivial_matches_lattice_vector_test(self, expr):
         lat = parse_expr(expr)
@@ -141,17 +219,21 @@ class TestDiscriminantAction:
 
 
 class TestShortVectors:
-    def brute_force(self, lat, target, box):
-        hits = []
-        n = lat.rank
-        for vec in product(range(-box, box + 1), repeat=n):
-            if pair_value(lat.gram, vec, vec) == target:
-                hits.append(vec)
-        return sorted(hits)
+    def brute_force(self, lat, target):
+        """Every vector of the norm in the box |x_i| <= sqrt(t (G^-1)_ii),
+        with G and t made positive, which holds them all by Cauchy-Schwarz."""
+        sign = 1 if signature(lat.gram)[0] else -1
+        t = target * sign
+        if t < 0:
+            return []
+        inverse = rational_inverse(lat.gram.scaled(sign))
+        box = [isqrt(floor(t * inverse[i, i])) for i in range(lat.rank)]
+        ranges = [range(-b, b + 1) for b in box]
+        return sorted(v for v in product(*ranges) if pair_value(lat.gram, v, v) == target)
 
     def test_a2_roots(self):
         vectors = short_vectors(A2, -2)
-        assert vectors == self.brute_force(A2, -2, 3)
+        assert vectors == self.brute_force(A2, -2)
         assert set(vectors) == {(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)}
 
     def test_a2_empty(self):
@@ -162,7 +244,7 @@ class TestShortVectors:
         lat = rescale(A2, 3)
         vectors = short_vectors(lat, -6)
         assert len(vectors) == 6
-        assert vectors == self.brute_force(lat, -6, 3)
+        assert vectors == self.brute_force(lat, -6)
 
     def test_positive_definite(self):
         lat = rescale(A2, -1)
@@ -183,23 +265,20 @@ class TestShortVectors:
     def test_random_lattices_against_brute_force(self):
         rng = random.Random(31)
         trials = 0
-        while trials < 10:
-            n = rng.randint(1, 3)
+        while trials < 16:
+            n = rng.randint(1, 4)
             rows = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
                     rows[i][j] = rows[j][i] = rng.randint(-2, 2)
                 rows[i][i] = rng.randint(2, 6)
-            lat = Lattice(Matrix(rows))
-            from trielem.linalg import signature
-
-            if signature(lat.gram) != (n, 0, 0):
+            if signature(Matrix(rows)) != (n, 0, 0):
                 continue
             trials += 1
-            for target in (1, 2, 3, 4):
-                assert short_vectors(lat, target) == self.brute_force(
-                    lat, target, 6
-                )
+            sign = rng.choice((1, -1))
+            lat = Lattice(Matrix(rows).scaled(sign))
+            for target in (1, 2, 3, 4, 6):
+                assert short_vectors(lat, sign * target) == self.brute_force(lat, sign * target)
 
 
 class TestEnumerateIsometries:
@@ -250,10 +329,80 @@ class TestEnumerateIsometries:
         lat = direct_sum(rescale(A2, 3), rescale(A2, 3))
         assert len(enumerate_isometries(lat)) == 288
 
+    def test_closed_form_group_orders(self):
+        orders = {f"A{n}": 2 * factorial(n + 1) for n in range(2, 6)}
+        orders["D4"] = 1152
+        orders["D5"] = 2**5 * factorial(5)
+        orders.update({f"A1^{k}": 2**k * factorial(k) for k in range(1, 6)})
+        for expr, order in orders.items():
+            assert len(enumerate_isometries(parse_expr(expr))) == order, expr
+
+    @pytest.mark.parametrize("expr", [name for name, _ in BENCHMARK_LATTICES] + ["A2+A1"])
+    def test_same_list_as_backtracking(self, expr):
+        lat = parse_expr(expr)
+        mats = [iso.matrix for iso in enumerate_isometries(lat)]
+        assert mats == list(backtracking_group(lat))
+
+    def test_budget_is_shared_and_exact(self, monkeypatch):
+        lat = parse_expr("A2(3)^2")
+        budget = SearchBudget()
+        enumerate_isometries(lat, budget)
+        used = budget.used
+        # 288 elements of rank 4 keep 4 vectors each, besides the nodes
+        assert used > 288 * 4
+        vectors_only = SearchBudget()
+        short_vectors(lat, -6, vectors_only)
+        shared = SearchBudget()
+        short_vectors(lat, -6, shared)
+        enumerate_isometries(lat, shared)
+        assert shared.used == vectors_only.used + used
+        monkeypatch.setattr(isometry_module, "SEARCH_BUDGET", used)
+        assert len(enumerate_isometries(lat)) == 288
+        monkeypatch.setattr(isometry_module, "SEARCH_BUDGET", used - 1)
+        with pytest.raises(SearchTooLarge, match=f"takes at least {used} steps .* limit of {used - 1}$"):
+            enumerate_isometries(lat)
+        assert issubclass(SearchTooLarge, TrielemError)
+
 
 class TestOrder3Search:
     def test_a2_has_one(self):
         assert has_order3_trivial_on_A(A2)
+
+    @pytest.mark.parametrize(("expr", "found"), BENCHMARK_LATTICES)
+    def test_benchmark_lattices_against_backtracking(self, expr, found):
+        lat = parse_expr(expr)
+        assert has_order3_trivial_on_A(lat) is found
+        assert backtracking_search(lat) is found
+        rng = random.Random(expr)
+        for _ in range(2):
+            moved = conjugate(lat, rng)
+            assert has_order3_trivial_on_A(moved) is found, moved.gram
+            assert backtracking_search(moved) is found, moved.gram
+
+    def test_random_sums_against_backtracking(self):
+        blocks = [parse_expr(e) for e in ("A1", "A1(2)", "A1(3)", "A2", "A2(3)", "A3")]
+        rng = random.Random(59)
+        seen = set()
+        for _ in range(24):
+            lat = rng.choice(blocks)
+            while True:
+                block = rng.choice(blocks)
+                if lat.rank + block.rank > 5:
+                    break
+                lat = direct_sum(lat, block)
+            lat = conjugate(lat, rng)
+            found = backtracking_search(lat)
+            assert has_order3_trivial_on_A(lat) is found, lat.gram
+            seen.add(found)
+        assert seen == {True, False}
+
+    def test_search_reads_no_coordinates(self, monkeypatch):
+        def no_coordinates(self, vec):
+            raise AssertionError("coordinates_of was called")
+
+        monkeypatch.setattr(lattice_module.DiscriminantGroup, "coordinates_of", no_coordinates)
+        for expr, found in BENCHMARK_LATTICES:
+            assert has_order3_trivial_on_A(parse_expr(expr)) is found, expr
 
     def test_a2_scaled_has_none(self):
         assert not has_order3_trivial_on_A(rescale(A2, 3))
@@ -261,6 +410,24 @@ class TestOrder3Search:
     def test_rank4_scaled_has_none(self):
         lat = direct_sum(rescale(A2, 3), rescale(A2, 3))
         assert not has_order3_trivial_on_A(lat)
+
+
+class TestRootPairWitness:
+    @pytest.mark.parametrize(
+        "expr", ["A2", "A3", "A4", "A5", "D4", "D5", "E6", "E7", "E8", "D8", "A2(3)+A1^2+A2"]
+    )
+    def test_witness_has_order_three_and_acts_trivially(self, expr):
+        lat = parse_expr(expr)
+        sigma = _root_pair_witness(lat)
+        identity = Matrix.identity(lat.rank)
+        assert is_isometry(lat, sigma)
+        assert sigma != identity
+        assert sigma @ sigma @ sigma == identity
+        assert moves_generators_by_lattice_vectors(lat, sigma)
+
+    @pytest.mark.parametrize("expr", ["A1", "A1^4", "A2(3)", "D4(3)", "E8(3)", "A1(2)+A1^3"])
+    def test_no_root_pair(self, expr):
+        assert _root_pair_witness(parse_expr(expr)) is None
 
 
 class TestStabilizerIdentities:
