@@ -198,14 +198,17 @@ def enumerate_isometries(lat: Lattice, budget: SearchBudget | None = None) -> li
     """The full isometry group of a small definite lattice.
 
     The images of the basis vectors are drawn from the short vectors of
-    their norms, indexed once in sorted order.  Each candidate keeps the
-    set of candidates with each pair value, so the candidates for column j
-    are its norm class intersected with those compatible with every column
-    already placed (Plesken-Souvignier 1997).  Columns are placed level by
-    level, each level in ascending index order, so the group comes out
-    sorted by column indices, and a group too large for ``budget`` uses it
-    up before any element is built: each element spends its n columns.  Any
-    full match has determinant +-1.  Guarded to rank <= 8.
+    their norms, indexed once in sorted order.  A candidate placed in a
+    column keeps, by pair value, the sets of candidates of the later
+    columns, built the first time it is placed and spending one unit per
+    candidate compared, so the candidates for column j are its norm class
+    intersected with those compatible with every column already placed
+    (Plesken-Souvignier 1997).  Columns are
+    placed level by level, each level in ascending index order, so the
+    group comes out sorted by column indices, and a group too large for
+    ``budget`` uses it up before any element is built: each element spends
+    its n columns.  Any full match has determinant +-1.  Guarded to rank
+    <= 8.
     """
     n = lat.rank
     if n == 0:
@@ -214,30 +217,41 @@ def enumerate_isometries(lat: Lattice, budget: SearchBudget | None = None) -> li
     if budget is None:
         budget = SearchBudget()
     g = lat.gram
+    norms = [g[j, j] for j in range(n)]
     vectors: list[tuple[int, ...]] = []
     classes: dict[int, frozenset[int]] = {}
-    for j in range(n):
-        norm = g[j, j]
+    for norm in norms:
         if norm not in classes:
             start = len(vectors)
             vectors += short_vectors(lat, norm, budget)
             classes[norm] = frozenset(range(start, len(vectors)))
-    compatible = []
-    for vector in vectors:
-        budget.spend(len(vectors))
-        g_vector = g.mul_vec(vector)
-        by_value: dict[int, set[int]] = {}
-        for k, other in enumerate(vectors):
-            by_value.setdefault(sum(map(mul, other, g_vector)), set()).add(k)
-        compatible.append(by_value)
+    # A candidate of a norm is placed no earlier than that norm's first
+    # column, so only the classes of the columns after it are compared.
+    later: dict[int, frozenset[int]] = {}
+    for j, norm in enumerate(norms):
+        if norm not in later:
+            later[norm] = frozenset().union(*(classes[m] for m in norms[j + 1 :]))
+    compatible: dict[int, dict[int, set[int]]] = {}
+
+    def compatible_with(k: int, norm: int) -> dict[int, set[int]]:
+        if k not in compatible:
+            others = later[norm]
+            budget.spend(len(others))
+            g_vector = g.mul_vec(vectors[k])
+            by_value: dict[int, set[int]] = {}
+            for other in others:
+                by_value.setdefault(sum(map(mul, vectors[other], g_vector)), set()).add(other)
+            compatible[k] = by_value
+        return compatible[k]
+
     empty = frozenset()
     level: list[tuple[int, ...]] = [()]
     for j, row in enumerate(g.entries):
         placed = []
         for partial in level:
             allowed = classes[row[j]]
-            for k, value in zip(partial, row):
-                allowed = allowed & compatible[k].get(value, empty)
+            for k, value, norm in zip(partial, row, norms):
+                allowed = allowed & compatible_with(k, norm).get(value, empty)
             budget.spend(len(allowed))
             placed += [partial + (k,) for k in sorted(allowed)]
         level = placed

@@ -17,6 +17,7 @@ from trielem.errors import (
     TrielemError,
 )
 from trielem.isometry import (
+    SEARCH_BUDGET,
     Isometry,
     SearchBudget,
     _root_pair_witness,
@@ -85,13 +86,36 @@ def backtracking_search(lat):
     )
 
 
-def conjugate(lat, rng):
-    """P^T G P for a seed-drawn signed permutation P."""
-    n = lat.rank
+def signed_permutation(n, rng):
     perm = list(range(n))
     rng.shuffle(perm)
-    p = Matrix([[rng.choice((-1, 1)) if perm[j] == i else 0 for j in range(n)] for i in range(n)])
+    return [[rng.choice((-1, 1)) if perm[j] == i else 0 for j in range(n)] for i in range(n)]
+
+
+def conjugate(lat, rng):
+    """P^T G P for a seed-drawn signed permutation P."""
+    p = Matrix(signed_permutation(lat.rank, rng))
     return Lattice(p.transpose() @ lat.gram @ p)
+
+
+def dense_conjugate(lat, rng, steps=4):
+    """P^T G P for P a seed-drawn signed permutation followed by ``steps``
+    column additions c_j += m c_i with 0 < |m| <= 2: a basis change that
+    moves the basis norms, and with them the short-vector classes."""
+    p = signed_permutation(lat.rank, rng)
+    for _ in range(steps):
+        i, j = rng.sample(range(lat.rank), 2)
+        m = rng.choice((-2, -1, 1, 2))
+        for row in p:
+            row[j] += m * row[i]
+    p = Matrix(p)
+    return Lattice(p.transpose() @ lat.gram @ p)
+
+
+# A1^4 in the basis e1, e2, e3, 7e1+3e2+2e3+e4.
+A1_4_LONG_BASIS = Matrix(
+    [[-2, 0, 0, -14], [0, -2, 0, -6], [0, 0, -2, -4], [-14, -6, -4, -126]]
+)
 
 
 # The order3-search benchmark lattices, with their answers.
@@ -343,6 +367,22 @@ class TestEnumerateIsometries:
         mats = [iso.matrix for iso in enumerate_isometries(lat)]
         assert mats == list(backtracking_group(lat))
 
+    @pytest.mark.parametrize("expr", [name for name, found in BENCHMARK_LATTICES if not found])
+    def test_same_list_as_backtracking_in_a_dense_basis(self, expr):
+        moved = dense_conjugate(parse_expr(expr), random.Random(expr), steps=3)
+        mats = [iso.matrix for iso in enumerate_isometries(moved)]
+        assert mats == list(backtracking_group(moved)), moved.gram
+
+    def test_long_last_basis_vector(self):
+        # A1^4 in the basis e1, e2, e3, 7e1+3e2+2e3+e4: the last basis norm,
+        # 126, has 832 vectors; being last, they are compared with no column
+        lat = Lattice(A1_4_LONG_BASIS)
+        budget = SearchBudget()
+        mats = [iso.matrix for iso in enumerate_isometries(lat, budget)]
+        assert len(mats) == 384
+        assert mats == list(backtracking_group(lat))
+        assert budget.used < SEARCH_BUDGET // 5
+
     def test_budget_is_shared_and_exact(self, monkeypatch):
         lat = parse_expr("A2(3)^2")
         budget = SearchBudget()
@@ -378,6 +418,17 @@ class TestOrder3Search:
             moved = conjugate(lat, rng)
             assert has_order3_trivial_on_A(moved) is found, moved.gram
             assert backtracking_search(moved) is found, moved.gram
+
+    @pytest.mark.parametrize(("expr", "found"), BENCHMARK_LATTICES)
+    def test_dense_bases_against_backtracking(self, expr, found):
+        moved = dense_conjugate(parse_expr(expr), random.Random(expr), steps=3)
+        assert has_order3_trivial_on_A(moved) is found, moved.gram
+        assert backtracking_search(moved) is found, moved.gram
+
+    def test_long_last_basis_vector_has_none(self):
+        lat = Lattice(A1_4_LONG_BASIS)
+        assert not has_order3_trivial_on_A(lat)
+        assert not backtracking_search(lat)
 
     def test_random_sums_against_backtracking(self):
         blocks = [parse_expr(e) for e in ("A1", "A1(2)", "A1(3)", "A2", "A2(3)", "A3")]
