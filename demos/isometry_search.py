@@ -2,7 +2,8 @@
 """Order-3 isometries at desk scale: exhaustive search shows A2 carries an
 order-3 isometry acting trivially on its discriminant group while the
 3-rescalings A2(3) and A2(3)+A2(3) carry none, and two explicit hyperbolic
-witnesses are checked exactly.
+witnesses are checked exactly.  Next to each group O(L) it lists the
+subgroup Õ(L) acting trivially on A_L, the only part the search lists.
 """
 
 from trielem import (
@@ -21,12 +22,13 @@ from trielem import (
 
 def census(lat, label):
     group = enumerate_isometries(lat)
+    kernel = enumerate_isometries(lat, trivial_on_A=True)
     order3 = [iso for iso in group if order_of(iso.matrix, 3) == 3]
     trivial = [
         iso for iso in order3 if discriminant_action(lat, iso.matrix).trivial
     ]
-    print(f"{label}: |O(L)| = {len(group)}, order-3 elements {len(order3)}, "
-          f"acting trivially on A_L: {len(trivial)}")
+    print(f"{label}: |O(L)| = {len(group)}, |Õ(L)| = {len(kernel)} (trivial on A_L), "
+          f"order-3 elements {len(order3)}, of them trivial on A_L: {len(trivial)}")
     print(f"  has_order3_trivial_on_A = {has_order3_trivial_on_A(lat)}")
 
 

@@ -79,6 +79,11 @@ class SearchTooLarge(TrielemError):
     allows."""
 
 
+class NumberTooLarge(TrielemError):
+    """An integer to be printed has more digits than Python converts to
+    text (``sys.get_int_max_str_digits``)."""
+
+
 class InvalidRho(TrielemError):
     """Picard number outside the admissible range."""
 

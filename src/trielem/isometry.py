@@ -1,8 +1,15 @@
 """Lattice isometries: verification, induced maps on the discriminant
 group, exhaustive short-vector and isometry-group enumeration for small
-definite lattices under one work budget, the order-3 search (a root-pair
-witness first, the whole group only without one), and explicit order-3
-witnesses on hyperbolic sums.
+definite lattices under one work budget, the order-3 search, and explicit
+order-3 witnesses on hyperbolic sums.
+
+The order-3 search asks for sigma of order 3 acting trivially on A_L =
+L*/L.  A root-pair witness answers first.  Without one, only the kernel of
+O(L) -> O(A_L) is listed (Nikulin 1979): ``enumerate_isometries`` with
+``trivial_on_A`` drops a candidate for a column as soon as it and the
+columns placed before it cannot fix A_L, a congruence read off a
+triangular basis of d L*.  This is one more test per column in the search
+of Plesken-Souvignier 1997.
 """
 
 from __future__ import annotations
@@ -19,10 +26,13 @@ from .linalg import Matrix, signature, symmetric_elimination
 
 ORDER_SEARCH_BOUND = 66
 # Work one search may do: nodes visited plus vectors kept, summed over the
-# short-vector and isometry enumerations it runs.  A2(3)^3 (10,368
-# isometries) uses 79,526 units and D4(3), the largest benchmark search,
-# 7,208.  On a 2-core x86 host, A1^8, E8(3), A2(3)^4 and A1^7+A1(1000)
-# stop at the limit within 0.6 s, and A1^6 (352,718 units) answers in 2 s.
+# short-vector and isometry enumerations it runs.  The order-3 search uses
+# 97,425 units on E6*(3), 28,505 on A1^4 in the basis e1, e2, e3,
+# 7e1+3e2+2e3+e4, 2,976 on A1^8, 2,702 on E8(3) and at most 208 on the
+# benchmark lattices.  Listing the whole group of A2(3)^3 (10,368
+# isometries) uses 79,519 and of A1^6 (46,080) 352,657.  On a 2-core x86
+# host, A1^7+A1(1000) stops at the limit in 0.2 s, and A1^6 is listed in
+# 1.6 s.
 SEARCH_BUDGET = 400_000
 
 
@@ -194,8 +204,39 @@ def short_vectors(
     return found
 
 
-def enumerate_isometries(lat: Lattice, budget: SearchBudget | None = None) -> list[Isometry]:
-    """The full isometry group of a small definite lattice.
+def _scaled_dual_basis(lat: Lattice) -> tuple[int, list[tuple[int, ...]]]:
+    """d, the exponent of the discriminant group, and a basis w_0..w_{n-1}
+    of d L* in coordinates, read mod d, with w_m supported on columns 0..m.
+
+    d L* is spanned by the lifts W_i scaled by d / d_i and the d e_k.  An
+    integer echelon form from the last column down gives the basis: at
+    column m, Euclid folds d e_m and every row with an entry there into one
+    row, w_m.  The rows left are zero from column m on, and the d e_k with
+    k < m are still to come, so reading the rows mod d keeps the span.
+    """
+    group = discriminant_group(lat)
+    n = lat.rank
+    d = lcm(*group.invariant_factors)
+    rows = [[x * (d // f) % d for x in w] for w, f in zip(group.lifts, group.invariant_factors)]
+    basis = [()] * n
+    for m in reversed(range(n)):
+        pivot, rest = [d * (i == m) for i in range(n)], []
+        for row in rows:
+            while row[m]:
+                q = pivot[m] // row[m]
+                pivot, row = row, [a - q * b for a, b in zip(pivot, row)]
+            rest.append([x % d for x in row])
+        basis[m] = tuple(x % d for x in pivot)
+        rows = rest
+    return d, basis
+
+
+def enumerate_isometries(
+    lat: Lattice, budget: SearchBudget | None = None, *, trivial_on_A: bool = False
+) -> list[Isometry]:
+    """The isometry group of a small definite lattice, or with
+    ``trivial_on_A`` its subgroup acting trivially on the discriminant
+    group, in the same order as the full listing.
 
     The images of the basis vectors are drawn from the short vectors of
     their norms, indexed once in sorted order.  A candidate placed in a
@@ -203,12 +244,18 @@ def enumerate_isometries(lat: Lattice, budget: SearchBudget | None = None) -> li
     columns, built the first time it is placed and spending one unit per
     candidate compared, so the candidates for column j are its norm class
     intersected with those compatible with every column already placed
-    (Plesken-Souvignier 1997).  Columns are
-    placed level by level, each level in ascending index order, so the
-    group comes out sorted by column indices, and a group too large for
-    ``budget`` uses it up before any element is built: each element spends
-    its n columns.  Any full match has determinant +-1.  Guarded to rank
-    <= 8.
+    (Plesken-Souvignier 1997).  Columns are placed level by level, each
+    level in ascending index order, so the group comes out sorted by
+    column indices, and a group too large for ``budget`` uses it up before
+    any element is built: each element spends its n columns.  Any full
+    match has determinant +-1.  Guarded to rank <= 8.
+
+    With ``trivial_on_A``, sigma must fix A_L = L*/L, that is move every
+    vector of d L* by a vector of d L for d the exponent of A_L.  On the
+    echelon basis w_m of d L* (``_scaled_dual_basis``) this reads
+    sum_{k<=m} w_m[k] (sigma(e_k) - e_k) = 0 mod d, which involves columns
+    0..m only, so column m keeps just the candidates c whose residue
+    w_m[m] c mod d closes the sum over the columns already placed.
     """
     n = lat.rank
     if n == 0:
@@ -244,12 +291,32 @@ def enumerate_isometries(lat: Lattice, budget: SearchBudget | None = None) -> li
             compatible[k] = by_value
         return compatible[k]
 
+    # Column m's congruence, when w_m is not 0 mod d: its candidates split
+    # by the residue w_m[m] c mod d.
+    congruences: list[tuple[tuple[int, ...], dict] | None] = [None] * n
+    if trivial_on_A:
+        d, basis = _scaled_dual_basis(lat)
+        for m, w in enumerate(basis):
+            if any(w):
+                by_residue: dict[tuple[int, ...], set[int]] = {}
+                for k in classes[norms[m]]:
+                    by_residue.setdefault(tuple(w[m] * x % d for x in vectors[k]), set()).add(k)
+                congruences[m] = (w, by_residue)
+
     empty = frozenset()
     level: list[tuple[int, ...]] = [()]
     for j, row in enumerate(g.entries):
         placed = []
         for partial in level:
             allowed = classes[row[j]]
+            if congruences[j] is not None:
+                w, by_residue = congruences[j]
+                # w_m[m] c = w_m - sum_{k<m} w_m[k] sigma(e_k) mod d
+                left = w
+                for k, c in zip(partial, w):
+                    if c:
+                        left = [a - c * b for a, b in zip(left, vectors[k])]
+                allowed = by_residue.get(tuple(x % d for x in left), empty)
             for k, value, norm in zip(partial, row, norms):
                 allowed = allowed & compatible_with(k, norm).get(value, empty)
             budget.spend(len(allowed))
@@ -290,7 +357,8 @@ def _root_pair_witness(lat: Lattice, budget: SearchBudget | None = None) -> Matr
 def has_order3_trivial_on_A(lat: Lattice) -> bool:
     """Whether an order-3 isometry induces the identity on the discriminant
     group.  A root-pair witness that passes both checks answers; without
-    one, the whole isometry group is searched under one budget."""
+    one, the isometries trivial on the group are searched, under the same
+    budget, for one of order 3."""
     _check_enumerable(lat)
     budget = SearchBudget()
     witness = _root_pair_witness(lat, budget)
@@ -300,10 +368,10 @@ def has_order3_trivial_on_A(lat: Lattice) -> bool:
         and discriminant_action(lat, witness).trivial
     ):
         return True
-    for iso in enumerate_isometries(lat, budget):
-        if discriminant_action(lat, iso).trivial and order_of(iso.matrix, bound=3) == 3:
-            return True
-    return False
+    return any(
+        order_of(iso.matrix, bound=3) == 3
+        for iso in enumerate_isometries(lat, budget, trivial_on_A=True)
+    )
 
 
 def order3_isometry_u3_u() -> Isometry:

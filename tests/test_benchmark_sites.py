@@ -2,14 +2,28 @@
 name.  These checks read its tables and fail here, in the tier-1 suite, when
 a traced name is renamed, moved or no longer returns what a hook measures."""
 
+import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
+from trielem import cli
 from trielem.catalog import build
 from trielem.isometry import enumerate_isometries, short_vectors
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+
+
+def read_literal(path, name):
+    """The literal assigned to a module-level name, read without running
+    the module."""
+    for node in ast.parse(path.read_text()).body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} is not assigned in {path}")
 
 
 def load_tracer():
@@ -44,3 +58,23 @@ def test_hooked_results_have_a_length():
     isometries = enumerate_isometries(lat)
     assert isinstance(isometries, list) and len(isometries) == 12
     assert isinstance(short_vectors(lat, -2), list)
+
+
+def test_order3_search_makes_every_required_isometry_call():
+    # a search that bypasses a function the benchmark requires fails here,
+    # not only in the traced benchmark run
+    required = read_literal(PERFBENCH / "run.py", "REQUIRED_CALLS")["order3-search"]
+    names = [key.removesuffix(".calls") for key in required if key.startswith("isometry.")]
+    lattices = read_literal(PERFBENCH / "workloads.py", "ORDER3_LATTICES")
+    tracer = load_tracer()
+    modules = tracer.trielem_modules()
+    spans = tracer.Tracer(modules, tracer.find_caches(modules))
+    spans.install()
+    try:
+        for expr, found, _ in lattices:
+            result = cli.run(["search-order3", "--lattice", expr, "--format", "json"])
+            assert json.loads(result.payload)["found"] is found, expr
+    finally:
+        spans.remove()
+    assert names
+    assert [name for name in names if not spans.calls[name]] == []

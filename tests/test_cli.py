@@ -12,6 +12,8 @@ from trielem.isometry import SEARCH_BUDGET
 from trielem.lattice import discriminant_group
 from trielem.linalg import Matrix, determinant, signature
 
+from test_isometry import dense_conjugate
+
 GOLDENS = Path(__file__).resolve().parents[1] / "goldens"
 
 # JSON nesting depth far beyond the parser's recursion limit
@@ -134,6 +136,19 @@ class TestLatticeInfo:
             result = run(["lattice", spec])
             assert result.exit_code == 2, spec
             assert "exceeds the limit of 64" in result.payload
+
+    def test_determinant_past_the_printing_limit_exits_2(self):
+        limit = sys.get_int_max_str_digits()
+        error = f"error: det has more than {limit} digits, the limit for printing an integer"
+        for expr in ("A1(" + "9" * 100 + ")^64", "A2" + "(3)" * 5000):
+            for fmt in ("md", "json"):
+                result = run(["lattice", expr, "--format", fmt])
+                assert (result.exit_code, result.payload) == (2, error), (expr[:8], fmt)
+        # det(A1(m)) = -2m: limit digits print, one more does not
+        fits = run(["lattice", f"A1(1{'0' * (limit - 1)})"])
+        assert fits.exit_code == 0
+        assert f"det: -2{'0' * (limit - 1)}" in fits.payload
+        assert run(["lattice", f"A1(5{'0' * (limit - 1)})"]).payload == error
 
     def test_deeply_nested_file_exits_2(self, tmp_path):
         # json.loads raises RecursionError, not a decode error, on this
@@ -320,13 +335,29 @@ class TestSearchOrder3:
             assert result.exit_code == 0, expr
             assert json.loads(result.payload)["found"] is True, expr
 
-    def test_searches_past_the_budget_exit_2(self):
-        # no root pair, so the whole group would be listed: 10,321,920
-        # elements (A1^8), 696,729,600 (E8(3)) and 497,664 (A2(3)^4); and
-        # A1^7+A1(1000) has over 10^8 vectors of its last basis norm
-        for expr in ("A1^8", "E8(3)", "A2(3)^4", "A1^7+A1(1000)"):
+    def test_searches_without_a_root_pair_answer_none(self):
+        # their groups have 10,321,920 (A1^8), 696,729,600 (E8(3)), 497,664
+        # (A2(3)^4), 103,680 (E6*(3)) and 2,903,040 (E7(3)) elements; only
+        # those trivial on the discriminant group are listed: 256, 1, 1, 1, 1
+        for expr in ("A1^8", "E8(3)", "A2(3)^4", "E6*(3)", "E7(3)"):
             start = time.perf_counter()
-            result = run(["search-order3", "--lattice", expr])
+            result = run(["search-order3", "--lattice", expr, "--format", "json"])
+            assert time.perf_counter() - start < 1.0, expr
+            assert result.exit_code == 0, expr
+            assert json.loads(result.payload)["found"] is False, expr
+
+    def test_searches_past_the_budget_exit_2(self, tmp_path):
+        # A1^7+A1(1000) has over 10^8 vectors of its last basis norm; in the
+        # seeded dense bases the long basis vectors have too many candidates
+        cases = [("A1^7+A1(1000)", "A1^7+A1(1000)")]
+        for expr, seed, steps in (("E8(3)", 1, 3), ("A1^8", 0, 4)):
+            moved = dense_conjugate(parse_expr(expr), random.Random(seed), steps=steps)
+            path = tmp_path / f"dense-{seed}.json"
+            path.write_text(json.dumps({"gram": [list(row) for row in moved.gram.entries]}))
+            cases.append((expr, str(path)))
+        for expr, spec in cases:
+            start = time.perf_counter()
+            result = run(["search-order3", "--lattice", spec])
             assert time.perf_counter() - start < 2.0, expr
             assert result.exit_code == 2, expr
             assert result.payload.startswith("error: the search takes at least "), expr

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import factorial, floor, isqrt
+from math import factorial, floor, gcd, isqrt
 
 import pytest
 
@@ -21,6 +21,7 @@ from trielem.isometry import (
     Isometry,
     SearchBudget,
     _root_pair_witness,
+    _scaled_dual_basis,
     discriminant_action,
     enumerate_isometries,
     has_order3_trivial_on_A,
@@ -110,6 +111,40 @@ def dense_conjugate(lat, rng, steps=4):
             row[j] += m * row[i]
     p = Matrix(p)
     return Lattice(p.transpose() @ lat.gram @ p)
+
+
+def seeded_sums():
+    """24 seeded direct sums of A1, A1(2), A1(3), A2, A2(3) and A3 up to
+    rank 5, each in a signed-permutation basis."""
+    blocks = [parse_expr(e) for e in ("A1", "A1(2)", "A1(3)", "A2", "A2(3)", "A3")]
+    rng = random.Random(59)
+    sums = []
+    for _ in range(24):
+        lat = rng.choice(blocks)
+        while True:
+            block = rng.choice(blocks)
+            if lat.rank + block.rank > 5:
+                break
+            lat = direct_sum(lat, block)
+        sums.append(conjugate(lat, rng))
+    return sums
+
+
+def trivial_on_A(lat):
+    """The listing under test: the isometries trivial on A_L."""
+    return [iso.matrix for iso in enumerate_isometries(lat, trivial_on_A=True)]
+
+
+def filtered_group(lat):
+    """The whole listed group, kept where ``discriminant_action`` is trivial."""
+    group = enumerate_isometries(lat)
+    return [iso.matrix for iso in group if discriminant_action(lat, iso).trivial]
+
+
+def filtered_backtracking(lat):
+    """The backtracking group, kept where the generators move by lattice
+    vectors."""
+    return [m for m in backtracking_group(lat) if moves_generators_by_lattice_vectors(lat, m)]
 
 
 # A1^4 in the basis e1, e2, e3, 7e1+3e2+2e3+e4.
@@ -363,15 +398,67 @@ class TestEnumerateIsometries:
 
     @pytest.mark.parametrize("expr", [name for name, _ in BENCHMARK_LATTICES] + ["A2+A1"])
     def test_same_list_as_backtracking(self, expr):
+        # the listing trivial on A_L is the same sublist of both oracles
         lat = parse_expr(expr)
-        mats = [iso.matrix for iso in enumerate_isometries(lat)]
-        assert mats == list(backtracking_group(lat))
+        for base in (lat, conjugate(lat, random.Random(expr))):
+            group = list(backtracking_group(base))
+            assert [iso.matrix for iso in enumerate_isometries(base)] == group
+            kept = [m for m in group if moves_generators_by_lattice_vectors(base, m)]
+            assert trivial_on_A(base) == kept == filtered_group(base), base.gram
 
     @pytest.mark.parametrize("expr", [name for name, found in BENCHMARK_LATTICES if not found])
     def test_same_list_as_backtracking_in_a_dense_basis(self, expr):
         moved = dense_conjugate(parse_expr(expr), random.Random(expr), steps=3)
         mats = [iso.matrix for iso in enumerate_isometries(moved)]
         assert mats == list(backtracking_group(moved)), moved.gram
+        assert trivial_on_A(moved) == filtered_backtracking(moved), moved.gram
+
+    @pytest.mark.parametrize("expr", [name for name, _ in BENCHMARK_LATTICES])
+    def test_trivial_on_A_in_a_dense_basis(self, expr, monkeypatch):
+        # order and content are under test here, not the budget: the whole
+        # group of A5 in this basis takes 449,354 units; and the backtracking
+        # oracle takes seconds on A5 and D5 here, so the lattices without a
+        # root pair alone meet it (previous test)
+        monkeypatch.setattr(isometry_module, "SEARCH_BUDGET", 4 * SEARCH_BUDGET)
+        moved = dense_conjugate(parse_expr(expr), random.Random(expr), steps=3)
+        assert trivial_on_A(moved) == filtered_group(moved), moved.gram
+
+    def test_trivial_on_A_on_seeded_sums(self):
+        for lat in seeded_sums():
+            assert trivial_on_A(lat) == filtered_backtracking(lat) == filtered_group(lat), lat.gram
+
+    def test_scaled_dual_basis_spans_d_times_the_dual(self):
+        # each w_m lies in d L* (G w_m = 0 mod d) and is zero past column m,
+        # so with the d e_k they span a lattice of pivots gcd(w_m[m], d) and
+        # index d^n / prod(pivots) over d Z^n; d L* has index |det G|
+        lats = [parse_expr(e) for e, _ in BENCHMARK_LATTICES + (("E6*(3)", False),)]
+        lats += [dense_conjugate(lat, random.Random(1), steps=3) for lat in lats]
+        for lat in lats + seeded_sums():
+            d, basis = _scaled_dual_basis(lat)
+            pivots = 1
+            for m, w in enumerate(basis):
+                assert all(x % d == 0 for x in lat.gram.mul_vec(w)), lat.gram
+                assert not any(w[m + 1 :]), lat.gram
+                pivots *= gcd(w[m], d)
+            assert d**lat.rank == abs(determinant(lat.gram)) * pivots, lat.gram
+
+    @pytest.mark.parametrize("expr", ["A2", "A2^2", "D4", "D5", "E6", "E7", "E8"])
+    def test_trivial_on_A_of_a_3_rescaling_is_the_identity(self, expr):
+        # L = M(3) has L* = M*/3, which holds M/3, so sigma fixing A_L
+        # fixes M/3M, and by Minkowski's lemma the kernel of GL_n(Z) ->
+        # GL_n(Z/3) has no element of finite order but I
+        lat = rescale(parse_expr(expr), 3)
+        assert trivial_on_A(lat) == [Matrix.identity(lat.rank)]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_trivial_on_A_of_a1_powers_is_the_sign_diagonals(self, n):
+        # an isometry of A1^n is a signed permutation, and it fixes each
+        # e_i / 2 mod A1^n only when it sends e_i to +-e_i; -e_i sorts first
+        diagonals = [
+            Matrix([[signs[i] if i == j else 0 for j in range(n)] for i in range(n)])
+            for signs in product((-1, 1), repeat=n)
+        ]
+        assert trivial_on_A(parse_expr(f"A1^{n}")) == diagonals
 
     def test_long_last_basis_vector(self):
         # A1^4 in the basis e1, e2, e3, 7e1+3e2+2e3+e4: the last basis norm,
@@ -431,17 +518,8 @@ class TestOrder3Search:
         assert not backtracking_search(lat)
 
     def test_random_sums_against_backtracking(self):
-        blocks = [parse_expr(e) for e in ("A1", "A1(2)", "A1(3)", "A2", "A2(3)", "A3")]
-        rng = random.Random(59)
         seen = set()
-        for _ in range(24):
-            lat = rng.choice(blocks)
-            while True:
-                block = rng.choice(blocks)
-                if lat.rank + block.rank > 5:
-                    break
-                lat = direct_sum(lat, block)
-            lat = conjugate(lat, rng)
+        for lat in seeded_sums():
             found = backtracking_search(lat)
             assert has_order3_trivial_on_A(lat) is found, lat.gram
             seen.add(found)
