@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import parse_expr
-from .errors import InvalidKey, NotElementary, RankMismatch
+from .errors import InvalidKey, NotElementary, RankMismatch, check_printable
 from .lattice import (
     Lattice,
     discriminant_form,
@@ -198,7 +198,8 @@ _FORM_CHECKS = (
 
 def verify_pair(s_lat: Lattice, t_lat: Lattice) -> PairReport:
     """Run every pairing check; math mismatches become failed entries,
-    never exceptions."""
+    never exceptions.  A determinant too long to print in a report raises
+    NumberTooLarge."""
     checks: dict = {}
     details: dict = {}
     rho = s_lat.rank
@@ -209,6 +210,8 @@ def verify_pair(s_lat: Lattice, t_lat: Lattice) -> PairReport:
     checks["even_T"] = is_even(t_lat)
     det_s = determinant(s_lat.gram)
     det_t = determinant(t_lat.gram)
+    check_printable("det S", det_s)
+    check_printable("det T", det_t)
     checks["nondegenerate"] = det_s != 0 and det_t != 0
     if not (checks["nondegenerate"] and checks["even_S"] and checks["even_T"]):
         for name in _FORM_CHECKS:

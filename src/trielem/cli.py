@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .catalog import parse_expr
 from .classify import table1_rows, verify_pair
-from .errors import NumberTooLarge, TrielemError
+from .errors import TrielemError, check_printable
 from .fixed_locus import (
     MINUS_ZETA,
     NONEXISTENT,
@@ -143,12 +143,7 @@ def _cmd_lattice(args):
     lat = _load_lattice(args.expr)
     sig = signature(lat.gram)
     det = int(determinant(lat.gram))
-    # Python prints an int of at most this many digits (0, or a Python
-    # without the function, sets no limit).  A det of at most 3 * limit
-    # bits is below 10^limit, so only a longer one pays for the exact test.
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and det.bit_length() > 3 * limit and abs(det) >= 10**limit:
-        raise NumberTooLarge(f"det has more than {limit} digits, the limit for printing an integer")
+    check_printable("det", det)
     even = is_even(lat)
     factors = None
     q_gens = None

@@ -1,5 +1,7 @@
 """Exception types raised across the package."""
 
+import sys
+
 
 class TrielemError(Exception):
     """Base class for every package-specific error."""
@@ -82,6 +84,18 @@ class SearchTooLarge(TrielemError):
 class NumberTooLarge(TrielemError):
     """An integer to be printed has more digits than Python converts to
     text (``sys.get_int_max_str_digits``)."""
+
+
+def check_printable(name: str, value: int):
+    """Raise NumberTooLarge when Python would refuse to print ``value``.
+    The limit is 0, or absent on an older Python, when there is none.  An
+    int of at most 3 * limit bits is below 10^limit, so only a longer one
+    pays for the exact test."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
+        raise NumberTooLarge(
+            f"{name} has more than {limit} digits, the limit for printing an integer"
+        )
 
 
 class InvalidRho(TrielemError):

@@ -5,18 +5,20 @@ order-3 witnesses on hyperbolic sums.
 
 The order-3 search asks for sigma of order 3 acting trivially on A_L =
 L*/L.  A root-pair witness answers first.  Without one, only the kernel of
-O(L) -> O(A_L) is listed (Nikulin 1979): ``enumerate_isometries`` with
-``trivial_on_A`` drops a candidate for a column as soon as it and the
-columns placed before it cannot fix A_L, a congruence read off a
-triangular basis of d L*.  This is one more test per column in the search
-of Plesken-Souvignier 1997.
+O(L) -> O(A_L) is listed (Nikulin 1979) by ``enumerate_isometries`` with
+``trivial_on_A``.  When the gcd of the Gram entries is 3 or more, that
+kernel is the identity alone (Minkowski's lemma), with nothing to
+enumerate.  Otherwise the search drops a candidate for a column as soon as
+it and the columns placed before it cannot fix A_L, a congruence read off
+a triangular basis of d L*.  This is one more test per column in the
+search of Plesken-Souvignier 1997.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .catalog import parse_expr
@@ -28,11 +30,11 @@ ORDER_SEARCH_BOUND = 66
 # Work one search may do: nodes visited plus vectors kept, summed over the
 # short-vector and isometry enumerations it runs.  The order-3 search uses
 # 97,425 units on E6*(3), 28,505 on A1^4 in the basis e1, e2, e3,
-# 7e1+3e2+2e3+e4, 2,976 on A1^8, 2,702 on E8(3) and at most 208 on the
-# benchmark lattices.  Listing the whole group of A2(3)^3 (10,368
-# isometries) uses 79,519 and of A1^6 (46,080) 352,657.  On a 2-core x86
-# host, A1^7+A1(1000) stops at the limit in 0.2 s, and A1^6 is listed in
-# 1.6 s.
+# 7e1+3e2+2e3+e4, 2,976 on A1^8 and at most 208 on the benchmark lattices;
+# on E8(3), whose Gram content is 3, only the root search runs: 27 units.
+# Listing the whole group of A2(3)^3 (10,368 isometries) uses 79,519 and
+# of A1^6 (46,080) 352,657.  On a 2-core x86 host, A1^7+A1(1000) stops at
+# the limit in 0.14 s, and A1^6 is listed in 1.4 s.
 SEARCH_BUDGET = 400_000
 
 
@@ -89,13 +91,15 @@ class Isometry:
 
 
 def order_of(mat: Matrix, bound: int = ORDER_SEARCH_BOUND) -> int | None:
-    """Least k <= bound with mat**k = identity, else None."""
+    """Least k <= bound with mat**k = identity, else None; mat**bound is
+    the last power built."""
     ident = Matrix.identity(mat.nrows)
     power = mat
     for k in range(1, bound + 1):
         if power == ident:
             return k
-        power = power @ mat
+        if k < bound:
+            power = power @ mat
     return None
 
 
@@ -256,11 +260,21 @@ def enumerate_isometries(
     sum_{k<=m} w_m[k] (sigma(e_k) - e_k) = 0 mod d, which involves columns
     0..m only, so column m keeps just the candidates c whose residue
     w_m[m] c mod d closes the sum over the columns already placed.
+
+    With ``trivial_on_A`` and a Gram content c = gcd(g_ij) of at least 3,
+    the answer is the identity alone, and nothing is enumerated.  Each
+    e_k / c lies in L*, since G e_k / c is integral; sigma fixing A_L moves
+    it by a vector of L, so sigma = I mod c.  An isometry of a definite
+    lattice has finite order, and by Minkowski's lemma the kernel of
+    GL_n(Z) -> GL_n(Z/c) has no torsion for c >= 3, so sigma = I.  At c = 2
+    the kernel does have torsion (-I), and the search runs.
     """
     n = lat.rank
     if n == 0:
         return [Isometry(lat, Matrix.identity(0))]
     _check_enumerable(lat)
+    if trivial_on_A and gcd(*(x for row in lat.gram.entries for x in row)) >= 3:
+        return [Isometry(lat, Matrix.identity(n))]
     if budget is None:
         budget = SearchBudget()
     g = lat.gram

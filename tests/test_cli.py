@@ -224,6 +224,17 @@ class TestVerifyPair:
         assert result.exit_code == 0
         assert json.loads(result.payload)["ok"] is True
 
+    def test_determinant_past_the_printing_limit_exits_2(self):
+        limit = sys.get_int_max_str_digits()
+        huge = "U+A2" + "(3)" * 5000
+        for side, args in (("S", ["--s", huge, "--t", "U"]), ("T", ["--s", "U", "--t", huge])):
+            for fmt in ("md", "json"):
+                result = run(["verify-pair", *args, "--format", fmt])
+                assert (result.exit_code, result.payload) == (
+                    2,
+                    f"error: det {side} has more than {limit} digits, the limit for printing an integer",
+                ), (side, fmt)
+
     def test_gauss_sum_element_budget(self):
         # A1^16 has 2^16 elements, the most the Gauss sum of a group that
         # is not 3-elementary may run over, and keeps its report
@@ -338,7 +349,8 @@ class TestSearchOrder3:
     def test_searches_without_a_root_pair_answer_none(self):
         # their groups have 10,321,920 (A1^8), 696,729,600 (E8(3)), 497,664
         # (A2(3)^4), 103,680 (E6*(3)) and 2,903,040 (E7(3)) elements; only
-        # those trivial on the discriminant group are listed: 256, 1, 1, 1, 1
+        # those trivial on the discriminant group are listed, 256 for A1^8
+        # and 1 for E6*(3), and at Gram content 3 none need be
         for expr in ("A1^8", "E8(3)", "A2(3)^4", "E6*(3)", "E7(3)"):
             start = time.perf_counter()
             result = run(["search-order3", "--lattice", expr, "--format", "json"])
@@ -346,11 +358,27 @@ class TestSearchOrder3:
             assert result.exit_code == 0, expr
             assert json.loads(result.payload)["found"] is False, expr
 
+    def test_dense_bases_of_content_3_answer_none(self, tmp_path):
+        # the Gram content (gcd of the entries) is 3 in every basis, so only
+        # the identity acts trivially on the discriminant group; in these
+        # bases the whole-group search of dense E8(3) ran past the budget
+        for expr in ("E8(3)", "E7(3)", "D4(3)", "A2(3)^4"):
+            for seed in (1, 2, 3):
+                moved = dense_conjugate(parse_expr(expr), random.Random(seed), steps=3)
+                path = tmp_path / f"dense-{seed}.json"
+                path.write_text(json.dumps({"gram": [list(row) for row in moved.gram.entries]}))
+                start = time.perf_counter()
+                result = run(["search-order3", "--lattice", str(path), "--format", "json"])
+                assert time.perf_counter() - start < 1.0, (expr, seed)
+                assert result.exit_code == 0, (expr, seed)
+                assert json.loads(result.payload)["found"] is False, (expr, seed)
+
     def test_searches_past_the_budget_exit_2(self, tmp_path):
         # A1^7+A1(1000) has over 10^8 vectors of its last basis norm; in the
-        # seeded dense bases the long basis vectors have too many candidates
+        # seeded dense bases of A1^8 (content 2) and A1^4+D4(3) (content 1)
+        # the long basis vectors have too many candidates
         cases = [("A1^7+A1(1000)", "A1^7+A1(1000)")]
-        for expr, seed, steps in (("E8(3)", 1, 3), ("A1^8", 0, 4)):
+        for expr, seed, steps in (("A1^8", 0, 4), ("A1^4+D4(3)", 2, 3)):
             moved = dense_conjugate(parse_expr(expr), random.Random(seed), steps=steps)
             path = tmp_path / f"dense-{seed}.json"
             path.write_text(json.dumps({"gram": [list(row) for row in moved.gram.entries]}))

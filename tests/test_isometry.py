@@ -208,6 +208,21 @@ class TestOrderOf:
     def test_rotation(self):
         assert order_of(A2_ROTATION) == 3
 
+    @pytest.mark.parametrize(
+        ("mat", "order"),
+        [(Matrix([[-1]]), 2), (A2_ROTATION, 3), (Matrix([[0, -1], [1, 0]]), 4),
+         (A2_ROTATION.scaled(-1), 6)],
+    )
+    def test_bound_below_the_order_is_none(self, mat, order, monkeypatch):
+        # the powers mat^2 .. mat^bound are built, and none past the bound
+        products = []
+        matmul = Matrix.__matmul__
+        monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+        assert order_of(mat, bound=order - 1) is None
+        assert len(products) == order - 2
+        assert order_of(mat, bound=order) == order
+        assert len(products) == 2 * order - 3
+
 
 class TestDiscriminantAction:
     def test_witness_acts_trivially(self):
@@ -443,12 +458,56 @@ class TestEnumerateIsometries:
             assert d**lat.rank == abs(determinant(lat.gram)) * pivots, lat.gram
 
     @pytest.mark.parametrize("expr", ["A2", "A2^2", "D4", "D5", "E6", "E7", "E8"])
-    def test_trivial_on_A_of_a_3_rescaling_is_the_identity(self, expr):
+    def test_trivial_on_A_of_a_3_rescaling_is_the_identity(self, expr, monkeypatch):
         # L = M(3) has L* = M*/3, which holds M/3, so sigma fixing A_L
         # fixes M/3M, and by Minkowski's lemma the kernel of GL_n(Z) ->
-        # GL_n(Z/3) has no element of finite order but I
+        # GL_n(Z/3) has no element of finite order but I; the pruned search,
+        # run with the content test off, finds the same
         lat = rescale(parse_expr(expr), 3)
         assert trivial_on_A(lat) == [Matrix.identity(lat.rank)]
+        monkeypatch.setattr(isometry_module, "gcd", lambda *entries: 1)
+        assert trivial_on_A(lat) == [Matrix.identity(lat.rank)]
+
+    @pytest.mark.parametrize(
+        "expr", ["A2(3)", "A1(3)+A2(3)", "A2(3)^2", "D4(3)", "A1(2)^3", "A2(5)", "A1(3)^2", "A2(6)"]
+    )
+    def test_trivial_on_A_at_content_3_to_6_against_both_oracles(self, expr, monkeypatch):
+        # Gram content 3, 4, 5 or 6 in the catalog basis and two dense ones:
+        # both oracles keep the identity alone, and the listing answers
+        # without a short-vector search
+        lat = parse_expr(expr)
+        bases = [lat] + [dense_conjugate(lat, random.Random(seed), steps=3) for seed in (1, 2)]
+        kept = [(filtered_group(base), filtered_backtracking(base)) for base in bases]
+
+        def no_search(*args):
+            raise AssertionError("short_vectors was called")
+
+        monkeypatch.setattr(isometry_module, "short_vectors", no_search)
+        for base, (group, backtracking) in zip(bases, kept):
+            assert trivial_on_A(base) == group == backtracking == [Matrix.identity(base.rank)]
+
+    @pytest.mark.parametrize(
+        "expr", ["A1^3", "A2(2)", "D4(2)", "A2+A2(3)", "A1+A2(3)", "A2(2)+A2(3)"]
+    )
+    def test_trivial_on_A_at_content_1_and_2_against_both_oracles(self, expr):
+        # content 2 (A1^n keeps its sign diagonals) and content 1 with a
+        # scaled summand: the pruned search lists these
+        lat = parse_expr(expr)
+        for base in (lat, dense_conjugate(lat, random.Random(expr), steps=3)):
+            budget = SearchBudget()
+            listed = [iso.matrix for iso in enumerate_isometries(base, budget, trivial_on_A=True)]
+            assert budget.used > 0, base.gram
+            assert listed == filtered_group(base) == filtered_backtracking(base), base.gram
+
+    def test_trivial_on_A_of_e6_dual_3_against_the_filtered_group(self, monkeypatch):
+        # content 1, so the pruned search lists it; the whole group has
+        # 103,680 elements, past the budget and the backtracking oracle
+        lat = parse_expr("E6*(3)")
+        budget = SearchBudget()
+        listed = [iso.matrix for iso in enumerate_isometries(lat, budget, trivial_on_A=True)]
+        assert budget.used > 0
+        monkeypatch.setattr(isometry_module, "SEARCH_BUDGET", 10 * SEARCH_BUDGET)
+        assert listed == filtered_group(lat) == [Matrix.identity(6)]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_trivial_on_A_of_a1_powers_is_the_sign_diagonals(self, n):
