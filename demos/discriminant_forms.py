@@ -5,6 +5,7 @@ Gauss-sum identity tying the form to the signature.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 from trielem import (
     build,
@@ -23,8 +24,8 @@ def show(expr):
     print(f"{expr}:")
     print(f"  signature {signature(lat.gram)}, "
           f"invariant factors {list(group.invariant_factors)}")
-    for d, gen in zip(group.invariant_factors, group.generators):
-        coords = ", ".join(str(x) for x in gen)
+    for d, lift in zip(group.invariant_factors, group.lifts):
+        coords = ", ".join(str(Fraction(x, d)) for x in lift)
         print(f"  generator of Z/{d}: ({coords})")
     form = discriminant_form(lat)
     counts = Counter(form.q_values.values())

@@ -24,9 +24,7 @@ def census(lat, label):
     group = enumerate_isometries(lat)
     kernel = enumerate_isometries(lat, trivial_on_A=True)
     order3 = [iso for iso in group if order_of(iso.matrix, 3) == 3]
-    trivial = [
-        iso for iso in order3 if discriminant_action(lat, iso.matrix).trivial
-    ]
+    trivial = [iso for iso in order3 if discriminant_action(lat, iso.matrix)]
     print(f"{label}: |O(L)| = {len(group)}, |Õ(L)| = {len(kernel)} (trivial on A_L), "
           f"order-3 elements {len(order3)}, of them trivial on A_L: {len(trivial)}")
     print(f"  has_order3_trivial_on_A = {has_order3_trivial_on_A(lat)}")
@@ -43,9 +41,9 @@ def main():
 
     print("\nHyperbolic witnesses (indefinite, so checked directly):")
     for witness in (order3_isometry_u3_u(), order3_isometry_u_u()):
-        action = discriminant_action(witness.lattice, witness)
+        trivial = discriminant_action(witness.lattice, witness)
         print(f"  {witness.lattice.name}: order {order_of(witness.matrix)}, "
-              f"trivial on the discriminant group: {action.trivial}")
+              f"trivial on the discriminant group: {trivial}")
 
 
 if __name__ == "__main__":

@@ -211,7 +211,7 @@ def _cmd_isometry(args):
     order = order_of(mat) if ok else None
     trivial = None
     if ok and determinant(lat.gram) != 0:
-        trivial = discriminant_action(lat, mat).trivial
+        trivial = discriminant_action(lat, mat)
     if args.format == "json":
         payload = json.dumps(
             {

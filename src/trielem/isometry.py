@@ -1,7 +1,7 @@
-"""Lattice isometries: verification, induced maps on the discriminant
-group, exhaustive short-vector and isometry-group enumeration for small
-definite lattices under one work budget, the order-3 search, and explicit
-order-3 witnesses on hyperbolic sums.
+"""Lattice isometries: verification, whether one acts trivially on the
+discriminant group, exhaustive short-vector and isometry-group enumeration
+for small definite lattices under one work budget, the order-3 search, and
+explicit order-3 witnesses on hyperbolic sums.
 
 The order-3 search asks for sigma of order 3 acting trivially on A_L =
 L*/L.  A root-pair witness answers first.  Without one, only the kernel of
@@ -17,13 +17,12 @@ search of Plesken-Souvignier 1997.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, isqrt, lcm
 from operator import mul
 
 from .catalog import parse_expr
 from .errors import NotDefinite, NotIsometry, RankTooLarge, SearchTooLarge, SizeMismatch
-from .lattice import DiscriminantGroup, Lattice, discriminant_group, read_int_rows
+from .lattice import Lattice, discriminant_group, read_int_rows
 from .linalg import Matrix, signature, symmetric_elimination
 
 ORDER_SEARCH_BOUND = 66
@@ -103,41 +102,21 @@ def order_of(mat: Matrix, bound: int = ORDER_SEARCH_BOUND) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class DiscriminantAction:
-    """Induced map of an isometry on the discriminant group.
-
-    ``trivial`` means the map is the identity: sigma(g_i) - g_i lies in the
-    lattice for every generator g_i = W_i / d_i, that is sigma(W_i) = W_i
-    mod d_i on the integer lifts.  ``matrix`` is the map in invariant-factor
-    coordinates, which send g_i to e_i, built on its first read.
-    """
-
-    group: DiscriminantGroup
-    isometry: Matrix
-    trivial: bool
-
-    @cached_property
-    def matrix(self) -> Matrix:
-        group = self.group
-        columns = [group.coordinates_of(self.isometry.mul_vec(gen)) for gen in group.generators]
-        return Matrix(tuple(zip(*columns)))
-
-
-def discriminant_action(lat: Lattice, mat) -> DiscriminantAction:
-    """Extend an isometry over the dual and reduce it to the quotient.  An
-    ``Isometry`` of this Gram matrix was checked when it was built."""
+def discriminant_action(lat: Lattice, mat) -> bool:
+    """Whether an isometry acts trivially on the discriminant group:
+    sigma(g_i) - g_i lies in the lattice for every generator
+    g_i = W_i / d_i, that is sigma(W_i) = W_i mod d_i on the integer lifts.
+    An ``Isometry`` of this Gram matrix was checked when it was built."""
     checked = isinstance(mat, Isometry) and mat.lattice.gram == lat.gram
     if isinstance(mat, Isometry):
         mat = mat.matrix
     if not checked and not is_isometry(lat, mat):
         raise NotIsometry("matrix does not preserve the Gram matrix")
     group = discriminant_group(lat)
-    trivial = all(
+    return all(
         all((a - b) % d == 0 for a, b in zip(mat.mul_vec(w), w))
         for w, d in zip(group.lifts, group.invariant_factors)
     )
-    return DiscriminantAction(group=group, isometry=mat, trivial=trivial)
 
 
 def _definite_sign(lat: Lattice) -> int:
@@ -379,7 +358,7 @@ def has_order3_trivial_on_A(lat: Lattice) -> bool:
     if (
         witness is not None
         and order_of(witness, bound=3) == 3
-        and discriminant_action(lat, witness).trivial
+        and discriminant_action(lat, witness)
     ):
         return True
     return any(

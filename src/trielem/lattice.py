@@ -6,10 +6,10 @@ When the form is nondegenerate the lattice sits inside its dual with finite
 quotient; that quotient, together with the induced Q/2Z-valued quadratic
 form on it, is the invariant the classification machinery matches.  The
 quotient comes from a Smith normal form of the Gram matrix taken modulo
-det^2, so its cost does not depend on how dense the basis is.  It builds
-only the columns of V at the factors, which give the generators as integer
-lifts d_i * g_i; the row transform U, which maps a dual vector to its
-coordinates, is built on the first ``coordinates_of`` call.
+det^2, so its cost does not depend on how dense the basis is.  Its columns
+of V at the factors give each generator g_i as the integer lift
+W_i = d_i * g_i, and everything else is read off the lifts: the form, and
+in ``isometry`` whether an isometry acts trivially on the group.
 
 On a 3-elementary group, q is fixed by the F_3 normal form (s, det B mod 3)
 of B = 3*b on the generators (Nikulin 1979, §1; Conway-Sloane, SPLAG ch. 15),
@@ -21,7 +21,7 @@ all |A| elements, up to MAX_GAUSS_ELEMENTS of them.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product
@@ -48,6 +48,13 @@ MAX_RANK = 64
 # group that is not 3-elementary needs.  A1^16 (2^16 elements) takes a few
 # seconds, and each further factor of 2 doubles that.
 MAX_GAUSS_ELEMENTS = 2**16
+# Largest m = lcm(8, 4e), e the group exponent, for which such a group's
+# Milgram identity is built in Z[zeta_m].  The cost grows with m and with
+# the number of odd primes of m.  On a 2-core x86 host, with the cyclotomic
+# polynomials built afresh, A1(512) (m = 4096) takes 0.035 s; the slowest
+# rank-1 lattice [m/4] over every m <= 4096 is m = 3960 = 8*9*5*11 at
+# 0.72 s, and m = 9240 = 8*3*5*7*11 takes 7 s.
+MAX_GAUSS_MODULUS = 2**12
 
 
 def check_rank(rank: int, label: str) -> None:
@@ -114,16 +121,14 @@ class DiscriminantGroup:
     """The finite quotient (dual lattice)/(lattice).
 
     ``lifts`` holds W_i = d_i * g_i, entries in [0, d_i), for the generators
-    g_i, coset representatives in lattice-basis coordinates, one per
-    invariant factor d_i.  ``order`` is |det G|, and the lifts come from the
+    g_i of L* / L in lattice-basis coordinates, one per invariant factor
+    d_i.  ``order`` is |det G|, and the lifts come from the
     Smith normal form of G modulo order^2 (see ``discriminant_group``).
     """
 
-    rank: int
     invariant_factors: tuple[int, ...]
     lifts: tuple[tuple[int, ...], ...]
     order: int
-    _gram: Matrix = field(compare=False)
 
     @property
     def s(self) -> int:
@@ -134,49 +139,14 @@ class DiscriminantGroup:
         """Coefficient tuples (one residue per invariant factor)."""
         return product(*(range(d) for d in self.invariant_factors))
 
-    def representative(self, coeffs) -> tuple[Fraction, ...]:
-        """A coset representative of sum(c_i * g_i), coordinates in [0, 1)."""
-        vec = [Fraction(0)] * self.rank
-        for c, gen in zip(coeffs, self.generators):
-            for i, x in enumerate(gen):
-                vec[i] += c * x
-        return tuple(x % 1 for x in vec)
-
-    @cached_property
-    def generators(self) -> tuple[tuple[Fraction, ...], ...]:
-        """g_i = W_i / d_i, entries in [0, 1)."""
-        dims = self.invariant_factors
-        return tuple(tuple(Fraction(x, d) for x in w) for w, d in zip(self.lifts, dims))
-
-    @cached_property
-    def _coordinate_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Row i of U for each factor, from the Smith normal form that gave
-        the generators, run again with U.  No pivot choice reads U, so the
-        factors fall on the same rows i and the rows match the generators."""
-        m = self.order * self.order
-        u, d, _ = smith_normal_form(self._gram, modulus=m)
-        return tuple(u.row(i) for i in range(self.rank) if gcd(d[i, i], m) > 1)
-
-    def coordinates_of(self, vec) -> tuple[int, ...]:
-        """Class of a dual vector in invariant-factor coordinates: the rows
-        of U, one per factor d, applied to G*vec and read mod d."""
-        den = lcm(*(x.denominator for x in vec))
-        gx = self._gram.mul_vec([int(x * den) for x in vec])
-        if any(y % den for y in gx):
-            raise ValueError("vector is not in the dual lattice")
-        gx = [y // den for y in gx]
-        return tuple(
-            sum(a * y for a, y in zip(row, gx)) % d
-            for row, d in zip(self._coordinate_rows, self.invariant_factors)
-        )
-
     def __repr__(self):
         return f"DiscriminantGroup(factors={list(self.invariant_factors)})"
 
 
 @lru_cache(maxsize=None)
 def discriminant_group(lat: Lattice) -> DiscriminantGroup:
-    """Invariant factors and generators of (dual)/(lattice).
+    """Invariant factors and generators of (dual)/(lattice), the generators
+    as integer lifts.
 
     G maps L* onto Z^n, so A_L = Z^n / G Z^n.  Its Smith normal form runs
     modulo m = D^2, D = |det G|, so no entry outgrows m however dense the
@@ -185,33 +155,26 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     the integer lift W_i = w_i * v_i mod d_i, v_i column i of V and w_i the
     inverse of c_i / d_i mod d_i.  Then U @ G @ g_i = w_i * (c_i / d_i) *
     e_i + (m / d_i) * z for an integer z, and m / d_i is a multiple of D,
-    hence of every d_j: row j of U, read mod d_j, maps g_i to e_i.  (With
-    m = D, a prime of d_i could divide c_i / d_i, which then has no
-    inverse.)  Where nothing outgrows m, c_i = d_i and g_i is the generator
-    of the exact path.  Only the columns of V at the factor positions are
-    built here; ``coordinates_of`` builds the rows of U it needs on its
-    first call.
+    hence of every d_j: row j of U, read mod d_j, maps g_i to e_i, so the
+    g_i are independent of orders d_i.  (With m = D, a prime of d_i could
+    divide c_i / d_i, which then has no inverse.)  Where nothing outgrows
+    m, c_i = d_i and g_i is the generator of the exact path.  U itself is
+    never built: the Smith normal form returns only the columns of V at
+    the factor positions.
     """
     g = lat.gram
-    n = lat.rank
     det = abs(determinant(g))
     if det == 0:
         raise Degenerate("lattice is degenerate")
     m = det * det
-    _, d, v = smith_normal_form(g, modulus=m, factors_only=True)
-    pivots = [d[i, i] for i in range(n) if gcd(d[i, i], m) > 1]
+    _, d, v = smith_normal_form(g, modulus=m)
+    pivots = [d[i, i] for i in range(lat.rank) if gcd(d[i, i], m) > 1]
     factors = [gcd(c, m) for c in pivots]
     lifts = []
     for c, f, column in zip(pivots, factors, zip(*v.entries)):
         unit = pow(c // f, -1, f)
         lifts.append(tuple(unit * x % f for x in column))
-    return DiscriminantGroup(
-        rank=n,
-        invariant_factors=tuple(factors),
-        lifts=tuple(lifts),
-        order=det,
-        _gram=g,
-    )
+    return DiscriminantGroup(invariant_factors=tuple(factors), lifts=tuple(lifts), order=det)
 
 
 def is_p_elementary(lat: Lattice, p: int) -> bool:
@@ -226,8 +189,7 @@ class FiniteQuadraticForm:
     ``pairings`` holds the integers e * g_i.G g_j on the generators, e the
     group exponent, and the rest is read from them: ``q_values`` is a
     read-only mapping from every coefficient tuple to its value as a
-    Fraction in [0, 2), evaluated on lookup, and ``bilinear_values`` holds
-    the associated pairing on generator pairs with values in [0, 1).
+    Fraction in [0, 2), evaluated on lookup.
     ``lattice_signature`` is the eigenvalue sign count of the source lattice,
     carried along for the Gauss-sum check.
     """
@@ -242,11 +204,6 @@ class FiniteQuadraticForm:
     @cached_property
     def q_values(self) -> Mapping:
         return _QValues(self.group, self.pairings)
-
-    @cached_property
-    def bilinear_values(self) -> Matrix:
-        e = self.q_values.e
-        return Matrix([[Fraction(x % e, e) for x in row] for row in self.pairings])
 
     @cached_property
     def _det_mod3(self) -> int:
@@ -340,15 +297,9 @@ def _gauss_sum(form: FiniteQuadraticForm, m: int) -> Cyclotomic:
 
     On (Z/3)^s, exp(pi*i*q(x)) = zeta_3^(B(x,x)/2), so over the normal form
     diag(1, ..., 1, det B) the sum is a product of s three-term sums of
-    zeta_3^(2*a*t*t), t in F_3.  Other groups sum over every element, and
-    raise GroupTooLarge above MAX_GAUSS_ELEMENTS.
+    zeta_3^(2*a*t*t), t in F_3.  Other groups sum over every element.
     """
     if set(form.group.invariant_factors) != {3}:
-        if form.group.order > MAX_GAUSS_ELEMENTS:
-            raise GroupTooLarge(
-                f"the Gauss sum of a group that is not 3-elementary runs over all "
-                f"{form.group.order} elements, above the limit of {MAX_GAUSS_ELEMENTS}"
-            )
         terms = [0] * m
         for val in form.q_values.values():
             terms[val.numerator * (m // (2 * val.denominator))] += 1
@@ -365,11 +316,27 @@ def milgram_holds(form: FiniteQuadraticForm) -> bool:
     The sum of exp(pi*i*q(x)) over the group must equal
     sqrt(|A|) * exp(2*pi*i*sigma/8).  Both sides are evaluated in Z[zeta_m]
     with m = lcm(8, 4e), e the group exponent, which contains every term
-    (m = 24 for 3-elementary forms), so the comparison is exact.
+    (m = 24 for 3-elementary forms), so the comparison is exact.  A group
+    that is not 3-elementary raises GroupTooLarge, before either side is
+    built, when it has more than MAX_GAUSS_ELEMENTS elements or m is above
+    MAX_GAUSS_MODULUS.
     """
     plus, _, minus = form.lattice_signature
-    m = lcm(8, 4 * max(form.group.invariant_factors, default=1))
-    rhs = _sqrt_as_cyclotomic(form.group.order, m)
+    group = form.group
+    e = max(group.invariant_factors, default=1)
+    m = lcm(8, 4 * e)
+    if set(group.invariant_factors) != {3}:
+        if group.order > MAX_GAUSS_ELEMENTS:
+            raise GroupTooLarge(
+                f"the Gauss sum of a group that is not 3-elementary runs over all "
+                f"{group.order} elements, above the limit of {MAX_GAUSS_ELEMENTS}"
+            )
+        if m > MAX_GAUSS_MODULUS:
+            raise GroupTooLarge(
+                f"the Gauss sum of a group of exponent {e} is taken in the "
+                f"cyclotomic field of order {m}, above the limit of {MAX_GAUSS_MODULUS}"
+            )
+    rhs = _sqrt_as_cyclotomic(group.order, m)
     rhs = rhs * Cyclotomic.root(m, ((plus - minus) % 8) * (m // 8))
     return _gauss_sum(form, m) == rhs
 

@@ -4,9 +4,10 @@ Everything runs on Python ints and ``fractions.Fraction``: one fraction-free
 symmetric elimination gives both the determinant and the eigenvalue sign
 counts (Sylvester's law of inertia) of a symmetric integer matrix, and is
 run once per matrix; Bareiss elimination gives the determinant of any
-other square matrix.  Smith normal form runs exact or modulo a multiple of
-the determinant, and builds U and V afterwards from its recorded steps;
-the exact one gives rational inverses too.  No floating point anywhere.
+other square matrix.  Smith normal form runs exact, with U and V built
+afterwards from its recorded steps, or modulo a multiple of the
+determinant, with only the columns of V at the invariant factors; the exact
+one gives rational inverses too.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -71,9 +72,6 @@ class Matrix:
     def __getitem__(self, key):
         i, j = key
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.entries)))
@@ -231,9 +229,7 @@ def rational_inverse(a: Matrix) -> Matrix:
     return Matrix([[Fraction(x, top) for x in row] for row in (vd @ u).entries])
 
 
-def smith_normal_form(
-    a: Matrix, modulus: int = 0, *, factors_only: bool = False
-) -> tuple[Matrix | None, Matrix, Matrix]:
+def smith_normal_form(a: Matrix, modulus: int = 0) -> tuple[Matrix | None, Matrix, Matrix]:
     """Decompose an integer matrix as U @ A @ V = D.
 
     With the default ``modulus`` 0 the arithmetic is exact: U and V are
@@ -244,18 +240,17 @@ def smith_normal_form(
 
     With ``modulus`` m > 0 the same elimination runs modulo m (Cohen, GTM
     138, §2.4; Hafner-McCurley 1991), so entries stay below m in size: a
-    working entry is replaced by its symmetric residue once |x| > m, and
-    the entries of U and V lie in [0, m).  Then U @ A @ V = D holds mod m,
-    U and V are invertible mod m, and the gcd(d_i, m) form a divisibility
-    chain.  If A is square and |det A| != 0 divides m, the invariant
-    factors of Z^n / A Z^n are the gcd(d_i, m).  Where no working entry
-    outgrows m, the pivots and D are those of the exact path, and U and V
-    agree with it mod m.
+    working entry is replaced by its symmetric residue once |x| > m.  Then
+    U @ A @ V = D holds mod m for some U and V invertible mod m, and the
+    gcd(d_i, m) form a divisibility chain.  If A is square and
+    |det A| != 0 divides m, the invariant factors of Z^n / A Z^n are the
+    gcd(d_i, m).  Only the columns of V at the factor positions i, those
+    with gcd(d_i, m) != 1, are returned, with entries in [0, m), and None
+    stands in place of U.  Where no working entry outgrows m, the pivots
+    and D are those of the exact path, and the columns agree with it mod m.
 
     No pivot reads U or V: the elimination records its operations and
-    builds U and V afterwards by replaying them.  With ``factors_only``,
-    U is not built (None stands in its place) and V holds only its
-    columns at the factor positions i, those with gcd(d_i, m) != 1.
+    builds the transforms afterwards by replaying them.
     """
     if not a.is_integral:
         raise ValueError("Smith normal form needs integer entries")
@@ -355,14 +350,12 @@ def smith_normal_form(
     diag += [0] * max(nr, nc)
     d = [[diag[i] if i == j else 0 for j in range(nc)] for i in range(nr)]
 
-    def replay(ops, size):
+    def replay(ops, size, keep):
         # Row p of U = E_K ... E_1 is e_p^T E_K ... E_1, and column p of
         # V = F_1 ... F_K is F_1 ... F_K e_p: both apply the operations to
         # e_p in reverse order, "line i += c * line j" as "entry j += c *
         # entry i".  lines[i] holds entry i of every vector built.
-        keep = [p for p in range(size) if not factors_only or gcd(diag[p], m) != 1]
-        one = 0 if m == 1 else 1  # the identity mod m
-        lines = [[one if i == p else 0 for p in keep] for i in range(size)]
+        lines = [[int(i == p) for p in keep] for i in range(size)]
         for i, j, c in reversed(ops):
             if c is None:
                 lines[i], lines[j] = lines[j], lines[i]
@@ -370,8 +363,11 @@ def smith_normal_form(
                 lines[j] = combine_mod(lines[j], lines[i], c)
         return lines
 
-    u = None if factors_only else Matrix(zip(*replay(row_ops, nr)))
-    return u, Matrix(d), Matrix(replay(col_ops, nc))
+    if m:
+        factors = [p for p in range(nc) if gcd(diag[p], m) != 1]
+        return None, Matrix(d), Matrix(replay(col_ops, nc, factors))
+    u = Matrix(zip(*replay(row_ops, nr, range(nr))))
+    return u, Matrix(d), Matrix(replay(col_ops, nc, range(nc)))
 
 
 @lru_cache(maxsize=None)

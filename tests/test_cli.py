@@ -1,9 +1,12 @@
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from trielem.catalog import parse_expr
 from trielem.classify import verify_pair
@@ -262,6 +265,38 @@ class TestVerifyPair:
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 2
         assert "18446744073709551616 elements" in result.payload
+
+    @pytest.mark.parametrize(
+        ("s_expr", "reason"),
+        [
+            # 2^16 elements, inside the element limit, but m = 2^18
+            ("A1(32768)", "is taken in the cyclotomic field of order 262144"),
+            ("A1(1000000)", "runs over all 2000000 elements"),
+            # a determinant of 2,864 digits, below the printing limit
+            ("A2(3)" + "(3)" * 3000, "runs over all 1441757044"),
+        ],
+        ids=["A1(32768)", "A1(1000000)", "A2(3)(3)x3000"],
+    )
+    def test_milgram_refuses_a_large_group_at_once(self, s_expr, reason):
+        # in a subprocess with a timeout first, so a hang fails here
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
+        argv = ["verify-pair", "--s", s_expr, "--t", "U"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "trielem.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: the Gauss sum of a group ")
+        assert reason in proc.stderr
+        assert "above the limit of" in proc.stderr
+        start = time.perf_counter()
+        assert run(argv).exit_code == 2
+        assert time.perf_counter() - start < 1.0
 
 
 class TestIsometryCommand:

@@ -28,6 +28,8 @@ from trielem.lattice import (
 )
 from trielem.linalg import pair_value
 
+from test_lattice import generators
+
 NAMES = ["U", "E6", "E7", "E8", "E6*(3)", "K3"]
 NAMES += [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)]
 THREE_ELEMENTARY = [name for name in NAMES if is_p_elementary(build(name), 3)]
@@ -39,7 +41,7 @@ SUMMAND_S = {"U": 0, "E8": 0, "A2": 1, "A2(-1)": 1, "E6": 1, "E6*(3)": 5, "U(3)"
 def reference_q_table(lat) -> dict:
     """Every group element's q value, by the 3^s enumeration."""
     group = discriminant_group(lat)
-    gens = group.generators
+    gens = generators(group)
     g = lat.gram
     s = group.s
     q_gen = [Fraction(pair_value(g, w, w)) % 2 for w in gens]

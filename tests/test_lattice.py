@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from enum import IntEnum
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy
@@ -10,8 +11,17 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_f
 import trielem.lattice
 from trielem.catalog import build, parse_expr
 from trielem.classify import enumerate_table1
-from trielem.errors import Degenerate, NotElementary, NotEven, RankTooLarge, ZeroScale
+from trielem.errors import (
+    Degenerate,
+    GroupTooLarge,
+    NotElementary,
+    NotEven,
+    RankTooLarge,
+    ZeroScale,
+)
 from trielem.lattice import (
+    MAX_GAUSS_ELEMENTS,
+    MAX_GAUSS_MODULUS,
     DiscriminantGroup,
     FiniteQuadraticForm,
     Lattice,
@@ -43,6 +53,31 @@ CATALOG = [
     "E6*(3)",
     "K3",
 ]
+
+
+def generators(group):
+    """g_i = W_i / d_i, read off the integer lifts."""
+    return [
+        tuple(Fraction(x, d) for x in w) for w, d in zip(group.lifts, group.invariant_factors)
+    ]
+
+
+def representative(group, coeffs):
+    """A coset representative of sum(c_i * g_i), coordinates in [0, 1), on
+    a group with at least one generator."""
+    return [sum(c * x for c, x in zip(coeffs, xs)) % 1 for xs in zip(*generators(group))]
+
+
+def spans_the_dual(lat, group):
+    """Whether L and the generators span L*, computed with sympy: the
+    lattice D*L + sum D*g_i Z, D = |det G|, has covolume D^(n-1) exactly
+    when it is D*L*, as [L* : L] = D and each D*g_i lies in D*L*.  With
+    orders multiplying to D, the generators are then a basis of A_L."""
+    n, det = lat.rank, group.order
+    rows = [[det * int(i == j) for j in range(n)] for i in range(n)]
+    rows += [[x * (det // d) for x in w] for w, d in zip(group.lifts, group.invariant_factors)]
+    snf = sympy_smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+    return prod(abs(int(snf[i, i])) for i in range(n)) == det ** (n - 1)
 
 
 class TestBasics:
@@ -116,17 +151,14 @@ class TestDiscriminantGroup:
         for name in ("A2", "E6", "E6*(3)", "U(3)+A2^2"):
             lat = parse_expr(name) if "+" in name else build(name)
             group = discriminant_group(lat)
-            for i, (d, gen) in enumerate(
-                zip(group.invariant_factors, group.generators)
-            ):
+            for d, gen in zip(group.invariant_factors, generators(group)):
                 assert all((d * x).denominator == 1 for x in gen)
-                unit = tuple(int(j == i) for j in range(group.s))
-                assert group.coordinates_of(gen) == unit
                 # no proper divisor of d kills the generator
                 for p in (2, 3):
                     if d % p == 0:
                         scaled = tuple(x * (d // p) for x in gen)
                         assert any(x.denominator != 1 for x in scaled)
+            assert spans_the_dual(lat, group), name
 
     def test_order_is_det(self):
         for name in CATALOG:
@@ -191,14 +223,14 @@ class TestDiscriminantForm:
 
     def test_values_in_range(self):
         for name in ("A2", "U(3)", "E6*(3)", "A2(3)"):
-            form = discriminant_form(parse_expr(name))
+            lat = parse_expr(name)
+            form = discriminant_form(lat)
             assert all(0 <= v < 2 for v in form.q_values.values())
-            bil = form.bilinear_values
-            assert all(
-                0 <= bil[i, j] < 1
-                for i in range(bil.nrows)
-                for j in range(bil.ncols)
-            )
+            # the pairings are e * g_i.G g_j, exactly, for the exponent e
+            e = max(form.group.invariant_factors)
+            gens = generators(form.group)
+            expected = [[e * pair_value(lat.gram, x, y) for y in gens] for x in gens]
+            assert [list(row) for row in form.pairings] == expected, name
 
     def test_representative_independence(self):
         rng = random.Random(17)
@@ -207,7 +239,7 @@ class TestDiscriminantForm:
             form = discriminant_form(lat)
             group = form.group
             for coeffs, value in form.q_values.items():
-                rep = list(group.representative(coeffs))
+                rep = representative(group, coeffs)
                 for _ in range(4):
                     shifted = [
                         x + rng.randint(-5, 5) for x in rep
@@ -220,6 +252,7 @@ class TestDiscriminantForm:
             lat = parse_expr(name)
             form = discriminant_form(lat)
             group = form.group
+            gens = generators(group)
             s = group.s
             for i in range(s):
                 for j in range(s):
@@ -232,7 +265,7 @@ class TestDiscriminantForm:
                         for a, b, d in zip(x, y, group.invariant_factors)
                     )
                     lhs = (form.q_values[xy] - form.q_values[x] - form.q_values[y]) % 2
-                    rhs = (2 * form.bilinear_values[i, j]) % 2
+                    rhs = (2 * pair_value(lat.gram, gens[i], gens[j])) % 2
                     assert lhs == rhs
 
     def test_q_of_negation(self):
@@ -284,19 +317,40 @@ class TestMilgram:
         )
         assert not milgram_holds(forged)
 
+    def test_limits_apply_before_either_side_is_built(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("a side of the identity was built")
+
+        forms = [discriminant_form(parse_expr(e)) for e in ("A1(32768)", "A1(1000000)")]
+        monkeypatch.setattr(trielem.lattice, "_sqrt_as_cyclotomic", built)
+        monkeypatch.setattr(trielem.lattice, "_gauss_sum", built)
+        for form in forms:
+            with pytest.raises(GroupTooLarge):
+                milgram_holds(form)
+
+    def test_modulus_limit(self):
+        # [2k] has the cyclic group Z/2k, so m = lcm(8, 8k) = 8k
+        at_limit = Lattice(Matrix([[MAX_GAUSS_MODULUS // 4]]))
+        assert milgram_holds(discriminant_form(at_limit))
+        with pytest.raises(GroupTooLarge, match=f"above the limit of {MAX_GAUSS_MODULUS}"):
+            milgram_holds(discriminant_form(Lattice(Matrix([[MAX_GAUSS_MODULUS // 2]]))))
+
+    def test_limits_spare_3_elementary_groups(self):
+        # U(3)^10 has 3^20 elements, above MAX_GAUSS_ELEMENTS, and no sum
+        # over them: its Gauss sum is a product of s three-term sums
+        form = discriminant_form(parse_expr("U(3)^10"))
+        assert form.group.order > MAX_GAUSS_ELEMENTS
+        assert milgram_holds(form)
+
 
 def test_form_reads_everything_from_its_pairings():
-    # a form built from plain nested lists of pairings: q, b and det B mod 3
-    # all follow from them, as they do for the form discriminant_form built
+    # a form built from plain nested lists of pairings: q and det B mod 3
+    # both follow from them, as they do for the form discriminant_form built
     for lat in TABLE1_LATTICES:
         form = discriminant_form(lat)
         rebuilt = FiniteQuadraticForm(
             form.group, [list(row) for row in form.pairings], form.lattice_signature
         )
-        e = max(form.group.invariant_factors, default=1)
-        assert rebuilt.bilinear_values == form.bilinear_values == Matrix(
-            [[Fraction(x, e) % 1 for x in row] for row in form.pairings]
-        ), lat.name
         assert rebuilt._det_mod3 == form._det_mod3 == normal_form(form)[1], lat.name
         if form.group.order <= 3**4:
             assert dict(rebuilt.q_values.items()) == dict(form.q_values.items()), lat.name
@@ -376,23 +430,21 @@ def dense_basis(lat: Lattice, rng) -> Lattice:
 def exact_path_group(lat: Lattice) -> DiscriminantGroup:
     """The group read off the exact Smith normal form, as the modular path
     does while nothing outgrows det^2: lifts column i of V mod d_i."""
-    u, d, v = smith_normal_form(lat.gram)
+    _, d, v = smith_normal_form(lat.gram)
     positions = [i for i in range(lat.rank) if d[i, i] > 1]
-    group = DiscriminantGroup(
-        rank=lat.rank,
+    columns = list(zip(*v.entries))
+    return DiscriminantGroup(
         invariant_factors=tuple(d[i, i] for i in positions),
-        lifts=tuple(tuple(x % d[i, i] for x in v.transpose().row(i)) for i in positions),
+        lifts=tuple(tuple(x % d[i, i] for x in columns[i]) for i in positions),
         order=abs(determinant(lat.gram)),
-        _gram=lat.gram,
     )
-    # the exact rows of U, in place of the modular ones coordinates_of builds
-    vars(group)["_coordinate_rows"] = tuple(u.row(i) for i in positions)
-    return group
 
 
 def normal_form(form):
-    """(s, det B mod 3) with B = 3*b on the generators."""
-    return form.group.s, int(determinant(form.bilinear_values.scaled(3).to_int())) % 3
+    """(s, det B mod 3) with B = 3*b on the generators, b = pairings / e."""
+    e = max(form.group.invariant_factors, default=1)
+    b = Matrix([[3 * x // e for x in row] for row in form.pairings])
+    return form.group.s, int(determinant(b)) % 3
 
 
 @pytest.fixture(scope="module")
@@ -418,24 +470,22 @@ class TestDenseBases:
         for lat in TABLE1_LATTICES + dense_table1:
             group = discriminant_group(lat)
             assert len(group.lifts) == group.s, lat.name
-            for w, d, gen in zip(group.lifts, group.invariant_factors, group.generators):
+            for w, d in zip(group.lifts, group.invariant_factors):
                 assert all(type(x) is int and 0 <= x < d for x in w), lat.name
                 # G W_i = d_i G g_i, and G g_i is integral for g_i in L*
                 assert all(y % d == 0 for y in lat.gram.mul_vec(w)), lat.name
-                assert gen == tuple(Fraction(x, d) for x in w), lat.name
 
     def test_generators(self, dense_table1):
         for lat in dense_table1:
             group = discriminant_group(lat)
-            for i, (f, gen) in enumerate(zip(group.invariant_factors, group.generators)):
+            for f, gen in zip(group.invariant_factors, generators(group)):
                 # order exactly f: f kills it, f/p does not
                 assert all((f * x).denominator == 1 for x in gen)
                 for p in (2, 3):
                     if f % p == 0:
                         assert any((f // p * x).denominator != 1 for x in gen), lat.name
                 assert all(x.denominator == 1 for x in lat.gram.mul_vec(gen))
-                unit = tuple(int(j == i) for j in range(group.s))
-                assert group.coordinates_of(gen) == unit, lat.name
+            assert spans_the_dual(lat, group), lat.name
 
     def test_form_matches_exact_path_generators(self, dense_table1, monkeypatch):
         forms = [discriminant_form(lat) for lat in dense_table1]
@@ -448,28 +498,11 @@ class TestDenseBases:
     def test_nothing_stored_reaches_modulus(self, dense_table1):
         for lat in dense_table1:
             m = determinant(lat.gram) ** 2
-            u, _, v = smith_normal_form(lat.gram, modulus=m)
-            assert all(abs(x) < m for w in (u, v) for row in w.entries for x in row)
-            rows = discriminant_group(lat)._coordinate_rows
-            assert all(abs(x) < m for row in rows for x in row)
-
-    def test_coordinates_reject_non_dual_vector(self, dense_table1):
-        for lat in dense_table1[::7]:
-            det = abs(determinant(lat.gram))
-            # G e_0 / p is integral only if p divides column 0, whose gcd
-            # divides det
-            p = next(p for p in (5, 7, 11, 13) if det % p)
-            vec = (Fraction(1, p),) + (0,) * (lat.rank - 1)
-            with pytest.raises(ValueError):
-                discriminant_group(lat).coordinates_of(vec)
+            _, _, v = smith_normal_form(lat.gram, modulus=m)
+            assert all(abs(x) < m for row in v.entries for x in row)
 
     def test_canonical_bases_keep_exact_generators(self):
         # nothing outgrows det^2 in these bases, so the printed generators
         # and q values stay those of the exact path
         for lat in TABLE1_LATTICES:
-            exact = exact_path_group(lat)
-            group = discriminant_group(lat)
-            assert group.generators == exact.generators, lat.name
-            m = exact.order**2
-            for row, exact_row in zip(group._coordinate_rows, exact._coordinate_rows):
-                assert all((x - y) % m == 0 for x, y in zip(row, exact_row)), lat.name
+            assert discriminant_group(lat).lifts == exact_path_group(lat).lifts, lat.name

@@ -6,6 +6,7 @@ import numpy
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -220,6 +221,12 @@ def congruent(a: Matrix, b: Matrix, m: int) -> bool:
     return all((x - y) % m == 0 for r, s in zip(a.entries, b.entries) for x, y in zip(r, s))
 
 
+def factor_columns(v: Matrix, d: Matrix) -> Matrix:
+    """The columns of an exact V at the invariant factors other than 1."""
+    positions = [i for i in range(v.ncols) if d[i, i] != 1]
+    return Matrix([[row[p] for p in positions] for row in v.entries])
+
+
 def modular_cases(count=200):
     """Nonsingular symmetric matrices of size at most 10: dense draws, and
     sums of small blocks with nontrivial groups in a random basis, whose
@@ -255,16 +262,16 @@ class TestSmithNormalFormModular:
         for a in modular_cases():
             n = a.nrows
             m = determinant(a) ** 2
-            u, d, v = smith_normal_form(a, modulus=m)
+            no_u, d, v = smith_normal_form(a, modulus=m)
             _, exact, exact_v = smith_normal_form(a)
+            assert no_u is None
             factors = [gcd(d[i, i], m) for i in range(n)]
             assert factors == [exact[i, i] for i in range(n)]
             assert tuple(f for f in factors if f > 1) == sympy_invariant_factors(a)
             assert all(d[i, j] == 0 for i in range(n) for j in range(n) if i != j)
-            # U A V = D mod m, and every entry of U and V lies in [0, m)
-            assert congruent(u @ a @ v, d, m)
-            assert all(0 <= x < m for w in (u, v) for row in w.entries for x in row)
-            outgrown += d != exact or not congruent(v, exact_v, m)
+            # every entry of the factor columns of V lies in [0, m)
+            assert all(0 <= x < m for row in v.entries for x in row)
+            outgrown += d != exact or not congruent(v, factor_columns(exact_v, exact), m)
         # the reduction is exercised (76 of the 200 here), not only exact steps
         assert outgrown > 50
 
@@ -275,15 +282,16 @@ class TestSmithNormalFormModular:
         ]
         for lat in lattices:
             m = determinant(lat.gram) ** 2
-            modular = smith_normal_form(lat.gram, modulus=m)
-            exact = smith_normal_form(lat.gram)
-            assert modular[1] == exact[1], lat.name
-            assert congruent(modular[0], exact[0], m), lat.name
-            assert congruent(modular[2], exact[2], m), lat.name
+            no_u, d, v = smith_normal_form(lat.gram, modulus=m)
+            _, exact, exact_v = smith_normal_form(lat.gram)
+            assert no_u is None
+            assert d == exact, lat.name
+            assert congruent(v, factor_columns(exact_v, exact), m), lat.name
 
-    def test_factor_columns_match_full_call(self):
-        # the replay builds the same columns of V, at the factor positions
-        # only, with the same D
+    def test_factor_columns(self):
+        # column i of V solves A v_i = 0 mod the factor f_i = gcd(d_i, m),
+        # as U A V = D mod m with U invertible; and V is invertible mod m,
+        # so its factor columns are independent mod every prime of m
         lattices = [pair.S for pair in enumerate_table1()] + [
             pair.T for pair in enumerate_table1() if pair.T
         ]
@@ -291,30 +299,32 @@ class TestSmithNormalFormModular:
         assert len(cases) == 263
         for a in cases:
             m = determinant(a) ** 2
-            u, d, v = smith_normal_form(a, modulus=m)
-            positions = [i for i in range(a.nrows) if gcd(d[i, i], m) != 1]
-            no_u, d_f, v_cols = smith_normal_form(a, modulus=m, factors_only=True)
-            assert no_u is None and d_f == d
-            assert v_cols == Matrix([[row[p] for p in positions] for row in v.entries])
-            # restricted to the factors, U A V = D still holds mod m
-            if positions:
-                u_rows = Matrix([u.row(p) for p in positions])
-                d_factors = Matrix([[d[p, q] for q in positions] for p in positions])
-                assert congruent(u_rows @ a @ v_cols, d_factors, m)
+            _, d, v = smith_normal_form(a, modulus=m)
+            factors = [f for f in (gcd(d[i, i], m) for i in range(a.nrows)) if f != 1]
+            assert v.nrows == a.nrows and v.ncols == len(factors)
+            for f, column in zip(factors, zip(*v.entries)):
+                assert all(x % f == 0 for x in a.mul_vec(column))
+            if factors:
+                columns = DomainMatrix.from_list([list(row) for row in v.entries], sympy.ZZ)
+                for p in sympy.primefactors(m):
+                    assert columns.convert_to(sympy.GF(p)).rank() == len(factors)
 
     def test_factor_columns_exact(self):
-        # modulus 0: the factor positions are the d_i other than 1
+        # the factor positions are the d_i other than 1, and nothing
+        # outgrows m here, so the columns are those of the exact V mod m
         a = Matrix([[2, 1, 0], [1, 2, 0], [0, 0, 6]])
         _, d, v = smith_normal_form(a)
         positions = [i for i in range(3) if d[i, i] != 1]
         assert positions == [1, 2]
-        v_cols = Matrix([[row[p] for p in positions] for row in v.entries])
-        assert smith_normal_form(a, factors_only=True) == (None, d, v_cols)
+        m = 18**2
+        v_cols = Matrix([[row[p] % m for p in positions] for row in v.entries])
+        assert smith_normal_form(a, modulus=m) == (None, d, v_cols)
 
     def test_modulus_one_and_negative(self):
+        # modulo 1 every gcd(d_i, 1) is 1: no factor, so V has no columns
         a = Matrix([[2, 1], [1, 2]])
         u, d, v = smith_normal_form(a, modulus=1)
-        assert u == v == Matrix([[0, 0], [0, 0]])
+        assert u is None and v == Matrix([[], []])
         assert all(gcd(d[i, i], 1) == 1 for i in range(2))
         with pytest.raises(ValueError):
             smith_normal_form(a, modulus=-3)
