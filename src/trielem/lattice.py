@@ -5,11 +5,14 @@ A lattice here is a free Z-module carrying a symmetric integer Gram matrix.
 When the form is nondegenerate the lattice sits inside its dual with finite
 quotient; that quotient, together with the induced Q/2Z-valued quadratic
 form on it, is the invariant the classification machinery matches.  The
-quotient comes from a Smith normal form of the Gram matrix taken modulo
-det^2, so its cost does not depend on how dense the basis is.  Its columns
-of V at the factors give each generator g_i as the integer lift
-W_i = d_i * g_i, and everything else is read off the lifts: the form, and
-in ``isometry`` whether an isometry acts trivially on the group.
+quotient comes from a Smith normal form of the Gram matrix modulo b^2 for
+b = |det|, which pivots on the entry of least valuation and so clears
+each row and column in one pass; its cost does not depend on how dense
+the basis is.  A run that separates two primes of b splits b into coprime
+parts, each run on its own and joined by the Chinese remainder theorem.
+The columns of V at the factors give each generator g_i as the integer
+lift W_i = d_i * g_i, and everything else is read off the lifts: the
+form, and in ``isometry`` whether an isometry acts trivially on the group.
 
 On a 3-elementary group, q is fixed by the F_3 normal form (s, det B mod 3)
 of B = 3*b on the generators (Nikulin 1979, §1; Conway-Sloane, SPLAG ch. 15),
@@ -38,7 +41,14 @@ from .errors import (
     RankTooLarge,
     ZeroScale,
 )
-from .linalg import Matrix, block_diagonal, determinant, signature, smith_normal_form
+from .linalg import (
+    Matrix,
+    ModulusSplit,
+    block_diagonal,
+    determinant,
+    signature,
+    smith_normal_form,
+)
 
 # Largest rank accepted from an expression or a JSON file (the K3 lattice has
 # rank 22); checked before the Gram matrix is allocated.
@@ -122,8 +132,8 @@ class DiscriminantGroup:
 
     ``lifts`` holds W_i = d_i * g_i, entries in [0, d_i), for the generators
     g_i of L* / L in lattice-basis coordinates, one per invariant factor
-    d_i.  ``order`` is |det G|, and the lifts come from the
-    Smith normal form of G modulo order^2 (see ``discriminant_group``).
+    d_i.  ``order`` is |det G|, and the lifts come from the modular
+    Smith normal form of G (see ``discriminant_group``).
     """
 
     invariant_factors: tuple[int, ...]
@@ -148,32 +158,57 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     """Invariant factors and generators of (dual)/(lattice), the generators
     as integer lifts.
 
-    G maps L* onto Z^n, so A_L = Z^n / G Z^n.  Its Smith normal form runs
-    modulo m = D^2, D = |det G|, so no entry outgrows m however dense the
-    basis: U @ G @ V = diag(c) mod m, and as D divides m the factor for c_i
-    is d_i = gcd(c_i, m).  The generator for d_i is g_i = W_i / d_i, with
-    the integer lift W_i = w_i * v_i mod d_i, v_i column i of V and w_i the
-    inverse of c_i / d_i mod d_i.  Then U @ G @ g_i = w_i * (c_i / d_i) *
-    e_i + (m / d_i) * z for an integer z, and m / d_i is a multiple of D,
-    hence of every d_j: row j of U, read mod d_j, maps g_i to e_i, so the
-    g_i are independent of orders d_i.  (With m = D, a prime of d_i could
-    divide c_i / d_i, which then has no inverse.)  Where nothing outgrows
-    m, c_i = d_i and g_i is the generator of the exact path.  U itself is
-    never built: the Smith normal form returns only the columns of V at
-    the factor positions.
+    G maps L* onto Z^n, so A_L = Z^n / G Z^n, the direct sum of its parts
+    A_b of order b over coprime factors b of D = |det G|, each b holding
+    all of D at its primes.  Starting from b = D, the Smith normal form of
+    G runs modulo m = b^2, so no entry outgrows m however dense the basis:
+    U @ G @ V = diag(c) mod m, and as b divides m the factor for c_i is
+    d_i = gcd(c_i, m), a divisor of b.  The generator for d_i is
+    g_i = W_i / d_i, with the integer lift W_i = w_i * v_i mod d_i, v_i
+    column i of V and w_i the inverse of c_i / d_i mod d_i.  Then
+    U @ G @ g_i = w_i * (c_i / d_i) * e_i + (m / d_i) * z for an integer z,
+    and m / d_i is a multiple of b, hence of every d_j: row j of U, read
+    mod d_j, maps g_i to e_i, so the g_i are independent of orders d_i and
+    generate A_b.  (With m = b, a prime of d_i could divide c_i / d_i,
+    which then has no inverse.)  U itself is never built: the Smith normal
+    form returns only the columns of V at the factor positions.
+
+    When the elimination separates two primes of b (ModulusSplit), b splits
+    into coprime parts and each runs again modulo its square; a prime-power
+    D takes one run.  The chains of the parts are aligned at their largest
+    factors, and the factor d = prod d_p of a merged position gets the lift
+    W = sum (d / d_p) * W_p mod d: g = sum g_p has order d, and (d / d_p) * g
+    is a unit times g_p, so the merged g generate A_L.
     """
     g = lat.gram
     det = abs(determinant(g))
     if det == 0:
         raise Degenerate("lattice is degenerate")
-    m = det * det
-    _, d, v = smith_normal_form(g, modulus=m)
-    pivots = [d[i, i] for i in range(lat.rank) if gcd(d[i, i], m) > 1]
-    factors = [gcd(c, m) for c in pivots]
-    lifts = []
-    for c, f, column in zip(pivots, factors, zip(*v.entries)):
-        unit = pow(c // f, -1, f)
-        lifts.append(tuple(unit * x % f for x in column))
+    parts, chains = [det], []
+    while parts:
+        b = parts.pop()
+        m = b * b
+        try:
+            _, d, v = smith_normal_form(g, modulus=m)
+        except ModulusSplit as split:
+            first = gcd(b, split.factor)
+            parts += [first, b // first]
+            continue
+        pivots = [d[i, i] for i in range(lat.rank) if gcd(d[i, i], m) > 1]
+        chain = []
+        for c, column in zip(pivots, zip(*v.entries)):
+            f = gcd(c, m)
+            unit = pow(c // f, -1, f)
+            chain.append((f, [unit * x % f for x in column]))
+        chains.append(chain)
+    factors, lifts = [], []
+    for k in range(max(map(len, chains)), 0, -1):
+        (f, w), *others = [chain[-k] for chain in chains if len(chain) >= k]
+        for fp, wp in others:
+            w = [(fp * x + f * y) % (f * fp) for x, y in zip(w, wp)]
+            f *= fp
+        factors.append(f)
+        lifts.append(tuple(w))
     return DiscriminantGroup(invariant_factors=tuple(factors), lifts=tuple(lifts), order=det)
 
 
@@ -329,7 +364,7 @@ def milgram_holds(form: FiniteQuadraticForm) -> bool:
         if group.order > MAX_GAUSS_ELEMENTS:
             raise GroupTooLarge(
                 f"the Gauss sum of a group that is not 3-elementary runs over all "
-                f"{group.order} elements, above the limit of {MAX_GAUSS_ELEMENTS}"
+                f"{_brief(group.order)} elements, above the limit of {MAX_GAUSS_ELEMENTS}"
             )
         if m > MAX_GAUSS_MODULUS:
             raise GroupTooLarge(
@@ -339,6 +374,12 @@ def milgram_holds(form: FiniteQuadraticForm) -> bool:
     rhs = _sqrt_as_cyclotomic(group.order, m)
     rhs = rhs * Cyclotomic.root(m, ((plus - minus) % 8) * (m // 8))
     return _gauss_sum(form, m) == rhs
+
+
+def _brief(n: int) -> str:
+    """n in full up to 30 digits, else its first ten digits and its length."""
+    digits = str(n)
+    return digits if len(digits) <= 30 else f"{digits[:10]}... ({len(digits)} digits)"
 
 
 def forms_match_opposite(form_s: FiniteQuadraticForm, form_t: FiniteQuadraticForm) -> bool:

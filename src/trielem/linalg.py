@@ -4,19 +4,19 @@ Everything runs on Python ints and ``fractions.Fraction``: one fraction-free
 symmetric elimination gives both the determinant and the eigenvalue sign
 counts (Sylvester's law of inertia) of a symmetric integer matrix, and is
 run once per matrix; Bareiss elimination gives the determinant of any
-other square matrix.  Smith normal form runs exact, with U and V built
-afterwards from its recorded steps, or modulo a multiple of the
-determinant, with only the columns of V at the invariant factors; the exact
-one gives rational inverses too.  No floating point anywhere.
+other square matrix.  Smith normal form runs exact, with Euclidean pivots
+and U and V built afterwards from its recorded steps, or modulo m, with
+least-valuation pivots and only the columns of V at the invariant factors;
+the exact one gives rational inverses too.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import mod, mul
 from typing import Sequence
 
 from .errors import NotSymmetric, SingularMatrix
@@ -229,6 +229,17 @@ def rational_inverse(a: Matrix) -> Matrix:
     return Matrix([[Fraction(x, top) for x in row] for row in (vd @ u).entries])
 
 
+class ModulusSplit(ArithmeticError):
+    """The modular ``smith_normal_form`` met two entries whose gcds with the
+    modulus do not divide one another, so no one pivot suits every prime
+    of it.  ``factor`` is a divisor of the modulus, neither 1 nor the
+    modulus itself and coprime to its cofactor, that separates them."""
+
+    def __init__(self, modulus: int, factor: int):
+        super().__init__(f"the modulus {modulus} splits at its factor {factor}")
+        self.factor = factor
+
+
 def smith_normal_form(a: Matrix, modulus: int = 0) -> tuple[Matrix | None, Matrix, Matrix]:
     """Decompose an integer matrix as U @ A @ V = D.
 
@@ -236,18 +247,26 @@ def smith_normal_form(a: Matrix, modulus: int = 0) -> tuple[Matrix | None, Matri
     unimodular, and D is diagonal with nonnegative entries forming a
     divisibility chain d1 | d2 | ...  Pivots are always the smallest
     surviving |entry| (ties broken by lowest row, then column), which makes
-    the decomposition deterministic.
+    the decomposition deterministic; a division remainder in the pivot's
+    row or column, or an entry of the block it does not divide, makes a
+    smaller pivot, and the step starts again.
 
-    With ``modulus`` m > 0 the same elimination runs modulo m (Cohen, GTM
-    138, §2.4; Hafner-McCurley 1991), so entries stay below m in size: a
-    working entry is replaced by its symmetric residue once |x| > m.  Then
-    U @ A @ V = D holds mod m for some U and V invertible mod m, and the
-    gcd(d_i, m) form a divisibility chain.  If A is square and
-    |det A| != 0 divides m, the invariant factors of Z^n / A Z^n are the
-    gcd(d_i, m).  Only the columns of V at the factor positions i, those
-    with gcd(d_i, m) != 1, are returned, with entries in [0, m), and None
-    stands in place of U.  Where no working entry outgrows m, the pivots
-    and D are those of the exact path, and the columns agree with it mod m.
+    With ``modulus`` m > 0 the elimination runs over Z/m, pivoting on the
+    entry x with the least gcd(x, m) = g, ties broken as above.  Over a local ring Z/p^N the entry of least valuation
+    divides every other up to a unit (Cohen, GTM 138, §2.4), so one pass
+    clears the pivot's row and column: an entry y goes with
+    (y/g) * (x/g)^-1 mod m/g times the pivot's line.  Each step checks that
+    g divides gcd(y, m) for every entry y of the block.  If it does, the
+    pivot has the least valuation at every prime of m at once, so at each
+    prime the run is the local elimination, and by the Chinese remainder
+    theorem U @ A @ V = D mod m for some U and V invertible mod m, with the
+    gcd(d_i, m) a divisibility chain: the invariant factors of A over Z/m,
+    that is gcd(e_i, m) for the exact invariant factors e_i.  Only the
+    columns of V at the factor positions i, those with gcd(d_i, m) != 1,
+    are returned, with entries in [0, m), and None stands in place of U.
+    If some gcd(y, m) is not a multiple of g, two primes of m want their
+    pivots in different places, and ModulusSplit is raised with the part
+    of m on the primes where g has the higher valuation.
 
     No pivot reads U or V: the elimination records its operations and
     builds the transforms afterwards by replaying them.
@@ -256,33 +275,20 @@ def smith_normal_form(a: Matrix, modulus: int = 0) -> tuple[Matrix | None, Matri
         raise ValueError("Smith normal form needs integer entries")
     if modulus < 0:
         raise ValueError("the modulus must be nonnegative")
-    m, h = modulus, modulus // 2
-    if m:
-
-        def combine(row, other, c):
-            # row + c * other; an entry that outgrew m becomes its
-            # symmetric residue
-            return [
-                z if abs(z := x + c * y) <= m else (z + h) % m - h for x, y in zip(row, other)
-            ]
-
-        def combine_mod(row, other, c):
-            return [(x + c * y) % m for x, y in zip(row, other)]
-
-    else:
-
-        def combine(row, other, c):
-            return [x + c * y for x, y in zip(row, other)]
-
-        combine_mod = combine
-
     nr, nc = a.nrows, a.ncols
+    if modulus:
+        diag, columns = _least_valuation_elimination(a, modulus)
+        v = Matrix([[column[k] for column in columns] for k in range(nc)])
+        return None, _diagonal(diag, nr, nc), v
+
+    def combine(row, other, c):
+        return [x + c * y for x, y in zip(row, other)]
+
     # (i, j, c) records "line i += c * line j", and (i, j, None) swaps them
     row_ops, col_ops = [], []
     # At step t, block[i][j] is entry (t+i, t+j) of the working matrix;
     # every entry outside the block and off the diagonal is already zero.
-    # combine() with a zero row reduces the input entries that outgrow m.
-    block = [combine([0] * nc, [int(x) for x in row], 1) for row in a.entries]
+    block = [[int(x) for x in row] for row in a.entries]
     diag = []
 
     def swap_rows(t, i):
@@ -348,26 +354,99 @@ def smith_normal_form(a: Matrix, modulus: int = 0) -> tuple[Matrix | None, Matri
         diag.append(pivot)
         block = [row[1:] for row in block[1:]]
     diag += [0] * max(nr, nc)
-    d = [[diag[i] if i == j else 0 for j in range(nc)] for i in range(nr)]
+    u = Matrix(zip(*_replay(row_ops, nr, range(nr))))
+    return u, _diagonal(diag, nr, nc), Matrix(_replay(col_ops, nc, range(nc)))
 
-    def replay(ops, size, keep):
-        # Row p of U = E_K ... E_1 is e_p^T E_K ... E_1, and column p of
-        # V = F_1 ... F_K is F_1 ... F_K e_p: both apply the operations to
-        # e_p in reverse order, "line i += c * line j" as "entry j += c *
-        # entry i".  lines[i] holds entry i of every vector built.
-        lines = [[int(i == p) for p in keep] for i in range(size)]
-        for i, j, c in reversed(ops):
-            if c is None:
-                lines[i], lines[j] = lines[j], lines[i]
-            else:
-                lines[j] = combine_mod(lines[j], lines[i], c)
-        return lines
 
-    if m:
-        factors = [p for p in range(nc) if gcd(diag[p], m) != 1]
-        return None, Matrix(d), Matrix(replay(col_ops, nc, factors))
-    u = Matrix(zip(*replay(row_ops, nr, range(nr))))
-    return u, Matrix(d), Matrix(replay(col_ops, nc, range(nc)))
+def _least_valuation_elimination(a: Matrix, m: int) -> tuple[list[int], list[list[int]]]:
+    """The pivots of ``smith_normal_form`` modulo m > 0, and the columns of
+    V at the factor positions; raises ModulusSplit as described there."""
+    nc = a.ncols
+    # entries are reduced only on the pivot row; the others grow by less
+    # than m^2 a step, which costs less than reducing them all
+    block = [list(map(int, row)) for row in a.entries]
+    diag, steps = [], []
+    # every entry left is a multiple of the last pivot's gcd with m, so an
+    # entry with that gcd has the least one
+    least = 1
+    for t in range(min(a.nrows, nc)):
+        # the least gcd with m, in the lowest row, then column: the first
+        # entry with gcd ``least``, or else the least of all gcds, which
+        # must divide the others
+        seen = []
+        for i, row in enumerate(block):
+            gcds = list(map(gcd, row, repeat(m)))
+            if least in gcds:
+                g, j = least, gcds.index(least)
+                break
+            seen += gcds
+        else:
+            g = least = min(seen)
+            i, j = divmod(seen.index(g), nc - t)
+            if any(map(mod, seen, repeat(g))):
+                y = next(y for y in seen if y % g)
+                raise ModulusSplit(m, _part_on_primes_of(m, g // gcd(g, y)))
+        if g == m:
+            break  # the block is zero mod m
+        block[0], block[i] = block[i], block[0]
+        if j:
+            for row in block:
+                row[0], row[j] = row[j], row[0]
+        pivot, *rest = [x % m for x in block[0]]
+        unit_modulus = m // g
+        inverse = pow(pivot // g, -1, unit_modulus)
+        # Clear column 0 by row operations and drop it with row 0: the
+        # column operations that clear row 0, column k += -(x_k/g) *
+        # inverse * column 0, change nothing else in the block.
+        block = [
+            [x - c * y for x, y in zip(row[1:], rest)]
+            if (c := row[0] // g * inverse % unit_modulus)
+            else row[1:]
+            for row in block[1:]
+        ]
+        diag.append(pivot)
+        steps.append((j, g, inverse, rest))
+    diag += [0] * (nc - len(diag))
+    # Column p of V = F_1 ... F_K is F_1 ... F_K e_p.  Applied from the
+    # last step back, a step's column operations add
+    # -inverse * (sum_k x_k * entry k) / g to entry t, then its swap acts.
+    columns = [[int(k == p) for k in range(nc)] for p in range(nc) if gcd(diag[p], m) != 1]
+    for t, (j, g, inverse, rest) in reversed(list(enumerate(steps))):
+        for column in columns:
+            if dot := sum(map(mul, rest, column[t + 1 :])):
+                column[t] = (column[t] - dot // g * inverse) % m
+            if j:
+                column[t], column[t + j] = column[t + j], column[t]
+    return diag, columns
+
+
+def _part_on_primes_of(n: int, r: int) -> int:
+    """The largest divisor of n whose primes all divide r."""
+    part, g = 1, gcd(n, r)
+    while g > 1:
+        part *= g
+        n //= g
+        g = gcd(n, g)
+    return part
+
+
+def _diagonal(diag: list, nr: int, nc: int) -> Matrix:
+    return Matrix([[diag[i] if i == j else 0 for j in range(nc)] for i in range(nr)])
+
+
+def _replay(ops, size: int, keep) -> list[list[int]]:
+    """Row p of U = E_K ... E_1 is e_p^T E_K ... E_1, and column p of
+    V = F_1 ... F_K is F_1 ... F_K e_p: both apply the operations to e_p in
+    reverse order, "line i += c * line j" as "entry j += c * entry i".
+    lines[i] holds entry i of every vector built for a position in
+    ``keep``."""
+    lines = [[int(i == p) for p in keep] for i in range(size)]
+    for i, j, c in reversed(ops):
+        if c is None:
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[j] = [x + c * y for x, y in zip(lines[j], lines[i])]
+    return lines
 
 
 @lru_cache(maxsize=None)

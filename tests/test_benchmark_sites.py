@@ -8,8 +8,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from trielem import cli
-from trielem.catalog import build
+from trielem.catalog import build, parse_expr
 from trielem.isometry import enumerate_isometries, short_vectors
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -60,21 +62,52 @@ def test_hooked_results_have_a_length():
     assert isinstance(short_vectors(lat, -2), list)
 
 
-def test_order3_search_makes_every_required_isometry_call():
-    # a search that bypasses a function the benchmark requires fails here,
-    # not only in the traced benchmark run
-    required = read_literal(PERFBENCH / "run.py", "REQUIRED_CALLS")["order3-search"]
-    names = [key.removesuffix(".calls") for key in required if key.startswith("isometry.")]
-    lattices = read_literal(PERFBENCH / "workloads.py", "ORDER3_LATTICES")
+def workload_sample(workload, directory):
+    """A few commands of each benchmark workload, each with fields its JSON
+    payload must hold."""
+    if workload == "tables":
+        # the E6*(3) row builds a lattice through rational_inverse
+        return [
+            (["table1", "--format", "json"], {}),
+            (["verify-pair", "--s", "U(3)+E6*(3)", "--t", "A2(-1)+A2^6", "--format", "json"], {"ok": True}),
+            (["lefschetz", "--rho", "8", "--s", "7", "--format", "json"], {}),
+        ]
+    if workload == "gram-info":
+        data = json.loads((PERFBENCH.parent / "goldens" / "dense_bases.json").read_text())["dense_01.json"]
+        path = directory / "dense_01.json"
+        path.write_text(json.dumps(data))
+        return [(["lattice", str(path), "--format", "json"], {"name": data["name"]})]
+    # the workload reads each lattice from a JSON file
+    sample = []
+    for k, (expr, found, _) in enumerate(read_literal(PERFBENCH / "workloads.py", "ORDER3_LATTICES")):
+        path = directory / f"o{k:02d}.json"
+        gram = [list(row) for row in parse_expr(expr).gram.entries]
+        path.write_text(json.dumps({"name": expr, "gram": gram}))
+        sample.append((["search-order3", "--lattice", str(path), "--format", "json"], {"found": found}))
+    return sample
+
+
+@pytest.mark.parametrize("workload", ["tables", "gram-info", "order3-search"])
+def test_workload_makes_every_required_call(workload, tmp_path):
+    # a command path that bypasses a function the benchmark requires, such
+    # as a discriminant group that no longer reaches smith_normal_form,
+    # fails here, not only in the traced benchmark run
+    required = read_literal(PERFBENCH / "run.py", "REQUIRED_CALLS")[workload]
     tracer = load_tracer()
     modules = tracer.trielem_modules()
-    spans = tracer.Tracer(modules, tracer.find_caches(modules))
+    caches = tracer.find_caches(modules)
+    for cache in caches.values():
+        cache.cache_clear()
+    spans = tracer.Tracer(modules, caches)
     spans.install()
     try:
-        for expr, found, _ in lattices:
-            result = cli.run(["search-order3", "--lattice", expr, "--format", "json"])
-            assert json.loads(result.payload)["found"] is found, expr
+        for argv, fields in workload_sample(workload, tmp_path):
+            result = cli.run(argv)
+            assert result.exit_code == 0, argv
+            out = json.loads(result.payload)
+            assert all(out[key] == value for key, value in fields.items()), argv
+        counts = spans.snapshot()
     finally:
         spans.remove()
-    assert names
-    assert [name for name in names if not spans.calls[name]] == []
+    assert required
+    assert [key for key in required if not counts[key]] == []

@@ -1,12 +1,16 @@
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trielem.catalog import parse_expr
 from trielem.classify import verify_pair
@@ -272,8 +276,9 @@ class TestVerifyPair:
             # 2^16 elements, inside the element limit, but m = 2^18
             ("A1(32768)", "is taken in the cyclotomic field of order 262144"),
             ("A1(1000000)", "runs over all 2000000 elements"),
-            # a determinant of 2,864 digits, below the printing limit
-            ("A2(3)" + "(3)" * 3000, "runs over all 1441757044"),
+            # a determinant of 2,865 digits, below the printing limit, and
+            # an order printed by its leading digits and length
+            ("A2(3)" + "(3)" * 3000, "runs over all 1441757044... (2865 digits) elements"),
         ],
         ids=["A1(32768)", "A1(1000000)", "A2(3)(3)x3000"],
     )
@@ -294,6 +299,7 @@ class TestVerifyPair:
         assert proc.stderr.startswith("error: the Gauss sum of a group ")
         assert reason in proc.stderr
         assert "above the limit of" in proc.stderr
+        assert len(proc.stderr) < 200
         start = time.perf_counter()
         assert run(argv).exit_code == 2
         assert time.perf_counter() - start < 1.0
@@ -477,3 +483,86 @@ class TestDriver:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "rho,s,S,T,exists"
+
+
+# Every catalog name, the scales and powers a term may carry, and Gram
+# entries whose products give determinants over two or more primes, some
+# of them above 2^16.
+NAMES = ("U", "A1", "A2", "A3", "A8", "D4", "D5", "E6", "E7", "E8", "E6*", "K3")
+SCALES = (-1, 2, 3, -3, 6, 9, 1000, 65537)
+ENTRIES = st.one_of(st.integers(-9, 9), st.sampled_from((6, 10, 15, 65537, 65539, 65537 * 65539)))
+# Seconds one command may take.  The slowest valid ones sum q over up to
+# MAX_GAUSS_ELEMENTS group elements, or spend the search budget.
+COMMAND_SECONDS = 10
+
+
+class Overran(BaseException):
+    """Raised by the alarm; cli.run catches no BaseException."""
+
+
+term = st.builds(
+    lambda name, scales, power: name + "".join(f"({k})" for k in scales) + power,
+    st.sampled_from(NAMES),
+    st.lists(st.sampled_from(SCALES), max_size=2),
+    st.one_of(st.just(""), st.integers(1, 64).map(lambda k: f"^{k}")),
+)
+expressions = st.lists(term, min_size=1, max_size=3).map("+".join)
+
+
+@st.composite
+def gram_matrices(draw):
+    n = draw(st.integers(1, 4))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(ENTRIES)
+    return rows
+
+
+@st.composite
+def commands(draw, directory):
+    """An argv for lattice, verify-pair or search-order3 on catalog
+    expressions and JSON Gram files, or for lefschetz on small keys."""
+    def operand():
+        if draw(st.booleans()):
+            return draw(expressions)
+        text = json.dumps({"gram": draw(gram_matrices())})
+        path = directory / f"{zlib.crc32(text.encode()):08x}.json"
+        path.write_text(text)
+        return str(path)
+
+    kind = draw(st.sampled_from(("lattice", "verify-pair", "search-order3", "lefschetz")))
+    fmt = ["--format", draw(st.sampled_from(("md", "json")))]
+    if kind == "lattice":
+        return ["lattice", operand(), *fmt]
+    if kind == "verify-pair":
+        return ["verify-pair", "--s", operand(), "--t", operand(), *fmt]
+    if kind == "search-order3":
+        return ["search-order3", "--lattice", operand(), *fmt]
+    return ["lefschetz", "--rho", str(draw(st.integers(-2, 24))), "--s", str(draw(st.integers(-1, 23))), *fmt]
+
+
+@pytest.fixture(scope="module")
+def gram_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("grams")
+
+
+# A fixed seed and example count: about 2 s on a 2-core x86 host.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_command_answers(gram_dir, data):
+    # exit 0, 1 or 2 and no exception, within COMMAND_SECONDS; the alarm
+    # interrupts a hang
+    argv = data.draw(commands(gram_dir))
+
+    def overran(signum, frame):
+        raise Overran(f"{argv} ran past {COMMAND_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, COMMAND_SECONDS)
+    try:
+        result = run(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert result.exit_code in (0, 1, 2), argv

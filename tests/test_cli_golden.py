@@ -12,11 +12,17 @@ The dense bases in ``goldens/dense_bases.json`` are P^T G P for a canonical
 Gram matrix G and P = L U, with L and U unit triangular and off-diagonal
 entries drawn from {-1, 0, 1} (``random.Random(9)``).  On each of them the
 generators of the discriminant group differ from those of the canonical
-basis, so the recorded ``q_on_generators`` pins the choice of generators.
+basis.  The recorded ``q_on_generators`` pins the generators that the
+least-valuation elimination of the modular Smith normal form picks, and,
+on a determinant of several primes, their Chinese remainder joins; it is
+not an invariant of the lattice.
 
 After a deliberate change of output, regenerate the golden file with
 
     PYTHONPATH=src python tests/test_cli_golden.py > goldens/cli.json
+
+CI runs this recipe and requires the committed file to match it byte for
+byte.
 """
 
 import json

@@ -1,12 +1,16 @@
+import json
 import random
 from collections import Counter
 from enum import IntEnum
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
+from sympy.polys.matrices import DomainMatrix
+from test_linalg import modular_cases
 
 import trielem.lattice
 from trielem.catalog import build, parse_expr
@@ -496,13 +500,81 @@ class TestDenseBases:
             assert milgram_holds(exact) and milgram_holds(form), lat.name
 
     def test_nothing_stored_reaches_modulus(self, dense_table1):
+        # |det| = 3^s takes one run modulo 3^(2s), with D and the factor
+        # columns of V reduced into [0, m)
         for lat in dense_table1:
             m = determinant(lat.gram) ** 2
-            _, _, v = smith_normal_form(lat.gram, modulus=m)
-            assert all(abs(x) < m for row in v.entries for x in row)
+            _, d, v = smith_normal_form(lat.gram, modulus=m)
+            assert all(0 <= d[i, i] < m for i in range(lat.rank))
+            assert all(0 <= x < m for row in v.entries for x in row)
 
-    def test_canonical_bases_keep_exact_generators(self):
-        # nothing outgrows det^2 in these bases, so the printed generators
-        # and q values stay those of the exact path
-        for lat in TABLE1_LATTICES:
-            assert discriminant_group(lat).lifts == exact_path_group(lat).lifts, lat.name
+
+def kernel_normal_form(lat: Lattice) -> tuple[int, int]:
+    """(s, det B mod 3) read off a basis of K = ker(G mod 3) over GF(3)
+    with sympy, with no Smith normal form: on a 3-elementary lattice,
+    x -> x/3 maps K onto A_L, and B(x, y) = x.G y / 3 mod 3 is 3b there."""
+    g = DomainMatrix.from_list([list(row) for row in lat.gram.entries], sympy.ZZ)
+    kernel = g.convert_to(sympy.GF(3)).nullspace().to_Matrix().tolist()
+    basis = [[int(x) % 3 for x in row] for row in kernel]
+    b = sympy.Matrix([[pair_value(lat.gram, x, y) // 3 for y in basis] for x in basis])
+    return len(basis), int(b.det()) % 3 if basis else 1
+
+
+@pytest.fixture(scope="module")
+def oracle_lattices():
+    """The modular Smith normal form cases, the table-1 lattices, the dense
+    golden bases, groups over two primes, and two primes above 2^16, on
+    their own (diag(p, q), which splits the modulus) and multiplied
+    ([[p * q]], a composite run with no split)."""
+    dense = json.loads((Path(__file__).resolve().parents[1] / "goldens" / "dense_bases.json").read_text())
+    p, q = 65537, 65539
+    return (
+        [Lattice(a) for a in modular_cases()]
+        + TABLE1_LATTICES
+        + [Lattice(data["gram"], data["name"]) for data in dense.values()]
+        + [parse_expr(e) for e in ("A1+A2", "A2(3)", "A8", "D4+A2", "A1(3)+A2")]
+        + [Lattice(Matrix([[p, 0], [0, q]])), Lattice(Matrix([[p * q]]))]
+    )
+
+
+class TestGroupOracles:
+    """discriminant_group against oracles that share no code with it."""
+
+    def test_invariant_factors_against_sympy(self, oracle_lattices):
+        for lat in oracle_lattices:
+            d = sympy_smith_normal_form(sympy.Matrix(lat.gram.entries), domain=sympy.ZZ)
+            expected = sorted(abs(int(d[i, i])) for i in range(lat.rank) if abs(d[i, i]) != 1)
+            assert list(discriminant_group(lat).invariant_factors) == expected, lat.gram
+
+    def test_mixed_primes(self):
+        expected = {
+            "A1+A2": (6,),
+            "A2(3)": (3, 9),
+            "A8": (9,),
+            "D4+A2": (2, 6),
+            "A1(3)+A2": (3, 6),
+        }
+        for expr, factors in expected.items():
+            assert discriminant_group(parse_expr(expr)).invariant_factors == factors, expr
+        p, q = 65537, 65539
+        for gram in ([[p, 0], [0, q]], [[p * q]]):
+            assert discriminant_group(Lattice(Matrix(gram))).invariant_factors == (p * q,)
+
+    def test_lifts_generate_the_dual(self, oracle_lattices):
+        for lat in oracle_lattices:
+            group = discriminant_group(lat)
+            for w, d in zip(group.lifts, group.invariant_factors):
+                assert all(type(x) is int and 0 <= x < d for x in w), lat.gram
+                # g_i = W_i / d_i lies in L*: G W_i = 0 mod d_i
+                assert all(y % d == 0 for y in lat.gram.mul_vec(w)), lat.gram
+            assert spans_the_dual(lat, group), lat.gram
+
+    def test_3_elementary_form_from_the_kernel_mod_3(self, oracle_lattices):
+        dets = Counter()
+        for lat in oracle_lattices:
+            if is_even(lat) and set(discriminant_group(lat).invariant_factors) <= {3}:
+                form = discriminant_form(lat)
+                assert kernel_normal_form(lat) == (form.group.s, form._det_mod3), lat.gram
+                dets[form._det_mod3] += 1
+        # both values of det B mod 3 occur, so a constant one fails here
+        assert dets[1] > 20 and dets[2] > 20, dets

@@ -15,6 +15,7 @@ from trielem.classify import AMBIENT_RANK, enumerate_table1
 from trielem.errors import NotSymmetric, SingularMatrix
 from trielem.linalg import (
     Matrix,
+    ModulusSplit,
     _det_bareiss,
     determinant,
     pair_value,
@@ -217,20 +218,10 @@ def sympy_invariant_factors(a: Matrix) -> tuple[int, ...]:
     return tuple(sorted(abs(int(d[i, i])) for i in range(a.nrows) if abs(d[i, i]) != 1))
 
 
-def congruent(a: Matrix, b: Matrix, m: int) -> bool:
-    return all((x - y) % m == 0 for r, s in zip(a.entries, b.entries) for x, y in zip(r, s))
-
-
-def factor_columns(v: Matrix, d: Matrix) -> Matrix:
-    """The columns of an exact V at the invariant factors other than 1."""
-    positions = [i for i in range(v.ncols) if d[i, i] != 1]
-    return Matrix([[row[p] for p in positions] for row in v.entries])
-
-
 def modular_cases(count=200):
     """Nonsingular symmetric matrices of size at most 10: dense draws, and
-    sums of small blocks with nontrivial groups in a random basis, whose
-    elimination often outgrows det^2."""
+    sums of small blocks with nontrivial groups in a random basis, many of
+    them with a determinant of two or three primes."""
     blocks = (
         ((2,),), ((6,),), ((0, 3), (3, 0)), ((2, 1), (1, 2)), ((6, 3), (3, 6)), ((4, 2), (2, 4))
     )
@@ -254,71 +245,113 @@ def modular_cases(count=200):
     return out
 
 
-class TestSmithNormalFormModular:
-    """The elimination modulo m = det^2 against the exact path and sympy."""
-
-    def test_invariant_factors_match_exact_path_and_sympy(self):
-        outgrown = 0
-        for a in modular_cases():
-            n = a.nrows
-            m = determinant(a) ** 2
+def modular_runs(a: Matrix) -> list[tuple[int, Matrix, Matrix]]:
+    """(m, D, V) for every run of the modular Smith normal form that the
+    group of a takes: modulo b^2 for b = |det a|, and after a ModulusSplit,
+    modulo the square of each coprime part of b."""
+    parts, runs = [abs(determinant(a))], []
+    while parts:
+        b = parts.pop()
+        m = b * b
+        try:
             no_u, d, v = smith_normal_form(a, modulus=m)
-            _, exact, exact_v = smith_normal_form(a)
-            assert no_u is None
-            factors = [gcd(d[i, i], m) for i in range(n)]
-            assert factors == [exact[i, i] for i in range(n)]
-            assert tuple(f for f in factors if f > 1) == sympy_invariant_factors(a)
-            assert all(d[i, j] == 0 for i in range(n) for j in range(n) if i != j)
-            # every entry of the factor columns of V lies in [0, m)
-            assert all(0 <= x < m for row in v.entries for x in row)
-            outgrown += d != exact or not congruent(v, factor_columns(exact_v, exact), m)
-        # the reduction is exercised (76 of the 200 here), not only exact steps
-        assert outgrown > 50
+        except ModulusSplit as split:
+            # a unitary divisor of m: neither 1 nor m, coprime to m / factor
+            assert 1 < split.factor < m and gcd(split.factor, m // split.factor) == 1
+            first = gcd(b, split.factor)
+            parts += [first, b // first]
+            continue
+        assert no_u is None
+        runs.append((m, d, v))
+    return runs
 
-    def test_agrees_with_exact_path_on_table1(self):
-        # canonical bases never outgrow det^2: same pivots, U and V mod m
-        lattices = [pair.S for pair in enumerate_table1()] + [
-            pair.T for pair in enumerate_table1() if pair.T
-        ]
-        for lat in lattices:
-            m = determinant(lat.gram) ** 2
-            no_u, d, v = smith_normal_form(lat.gram, modulus=m)
-            _, exact, exact_v = smith_normal_form(lat.gram)
-            assert no_u is None
-            assert d == exact, lat.name
-            assert congruent(v, factor_columns(exact_v, exact), m), lat.name
+
+TABLE1_GRAMS = [pair.S.gram for pair in enumerate_table1()] + [
+    pair.T.gram for pair in enumerate_table1() if pair.T
+]
+
+
+class TestSmithNormalFormModular:
+    """The least-valuation elimination modulo b^2 against sympy."""
+
+    def test_invariant_factors_match_sympy(self):
+        cases = modular_cases() + TABLE1_GRAMS
+        assert len(cases) == 263
+        splits = composite = 0
+        for a in cases:
+            n = a.nrows
+            runs = modular_runs(a)
+            splits += len(runs) - 1
+            exact = sympy_invariant_factors(a)
+            for m, d, v in runs:
+                composite += len(sympy.primefactors(m)) > 1
+                assert all(d[i, j] == 0 for i in range(n) for j in range(n) if i != j)
+                # D and the factor columns of V hold residues mod m
+                assert all(0 <= d[i, i] < m for i in range(n))
+                assert all(0 <= x < m for row in v.entries for x in row)
+                factors = [f for f in (gcd(d[i, i], m) for i in range(n)) if f != 1]
+                assert all(y % x == 0 for x, y in zip(factors, factors[1:]))
+                assert factors == [f for f in (gcd(e, m) for e in exact) if f != 1]
+            assert prod(gcd(d[i, i], m) for m, d, _ in runs for i in range(n)) == abs(
+                determinant(a)
+            )
+        # both sides of the contract are exercised: runs that split the
+        # modulus, and runs over two or more primes that need no split
+        # (57 and 131 here)
+        assert splits > 50 and composite > 100
 
     def test_factor_columns(self):
         # column i of V solves A v_i = 0 mod the factor f_i = gcd(d_i, m),
         # as U A V = D mod m with U invertible; and V is invertible mod m,
         # so its factor columns are independent mod every prime of m
-        lattices = [pair.S for pair in enumerate_table1()] + [
-            pair.T for pair in enumerate_table1() if pair.T
-        ]
-        cases = modular_cases() + [lat.gram for lat in lattices]
-        assert len(cases) == 263
-        for a in cases:
-            m = determinant(a) ** 2
-            _, d, v = smith_normal_form(a, modulus=m)
-            factors = [f for f in (gcd(d[i, i], m) for i in range(a.nrows)) if f != 1]
-            assert v.nrows == a.nrows and v.ncols == len(factors)
-            for f, column in zip(factors, zip(*v.entries)):
-                assert all(x % f == 0 for x in a.mul_vec(column))
-            if factors:
-                columns = DomainMatrix.from_list([list(row) for row in v.entries], sympy.ZZ)
-                for p in sympy.primefactors(m):
-                    assert columns.convert_to(sympy.GF(p)).rank() == len(factors)
+        for a in modular_cases() + TABLE1_GRAMS:
+            for m, d, v in modular_runs(a):
+                factors = [f for f in (gcd(d[i, i], m) for i in range(a.nrows)) if f != 1]
+                assert v.nrows == a.nrows and v.ncols == len(factors)
+                for f, column in zip(factors, zip(*v.entries)):
+                    assert all(x % f == 0 for x in a.mul_vec(column))
+                if factors:
+                    columns = DomainMatrix.from_list([list(row) for row in v.entries], sympy.ZZ)
+                    for p in sympy.primefactors(m):
+                        assert columns.convert_to(sympy.GF(p)).rank() == len(factors)
 
-    def test_factor_columns_exact(self):
-        # the factor positions are the d_i other than 1, and nothing
-        # outgrows m here, so the columns are those of the exact V mod m
-        a = Matrix([[2, 1, 0], [1, 2, 0], [0, 0, 6]])
-        _, d, v = smith_normal_form(a)
-        positions = [i for i in range(3) if d[i, i] != 1]
-        assert positions == [1, 2]
-        m = 18**2
-        v_cols = Matrix([[row[p] % m for p in positions] for row in v.entries])
-        assert smith_normal_form(a, modulus=m) == (None, d, v_cols)
+    def test_one_pass_by_hand(self):
+        # [[2, 1], [1, 2]] mod 9: the unit 2 is the pivot, its inverse is 5,
+        # row 1 -= 5 * row 0 leaves 2 - 5 = -3 = 6, and column 1 += 4 *
+        # column 0 clears row 0; 6 has gcd 3 with 9, the one factor
+        assert smith_normal_form(Matrix([[2, 1], [1, 2]]), modulus=9) == (
+            None,
+            Matrix([[2, 0], [0, 6]]),
+            Matrix([[4], [1]]),
+        )
+
+    def test_pivots_take_the_least_gcd(self):
+        # the least gcd with m = 3^4 is 3, in row 1 (ties to the lowest
+        # row, then column), although 9 and 0 come first
+        a = Matrix([[9, 0], [0, 3]])
+        assert smith_normal_form(a, modulus=81) == (
+            None,
+            Matrix([[3, 0], [0, 9]]),
+            Matrix([[0, 1], [1, 0]]),
+        )
+
+    def test_primes_in_conflict_split_the_modulus(self):
+        # gcd(2, 36) = 2 does not divide gcd(3, 36) = 3: the part of 36 on
+        # the primes of 2 / gcd(2, 3) is 4
+        with pytest.raises(ModulusSplit) as split:
+            smith_normal_form(Matrix([[2, 0], [0, 3]]), modulus=36)
+        assert split.value.factor == 4
+        # primes above 2^16: diag(p, q) splits at p^2, and [[p * q]] has a
+        # single entry, so nothing conflicts and the run is composite
+        p, q = 65537, 65539
+        with pytest.raises(ModulusSplit) as split:
+            smith_normal_form(Matrix([[p, 0], [0, q]]), modulus=(p * q) ** 2)
+        assert split.value.factor == p * p
+        assert smith_normal_form(Matrix([[p * q]]), modulus=(p * q) ** 2) == (
+            None,
+            Matrix([[p * q]]),
+            Matrix([[1]]),
+        )
 
     def test_modulus_one_and_negative(self):
         # modulo 1 every gcd(d_i, 1) is 1: no factor, so V has no columns
