@@ -252,21 +252,23 @@ def smith_normal_form(a: Matrix, modulus: int = 0) -> tuple[Matrix | None, Matri
     smaller pivot, and the step starts again.
 
     With ``modulus`` m > 0 the elimination runs over Z/m, pivoting on the
-    entry x with the least gcd(x, m) = g, ties broken as above.  Over a local ring Z/p^N the entry of least valuation
-    divides every other up to a unit (Cohen, GTM 138, §2.4), so one pass
-    clears the pivot's row and column: an entry y goes with
-    (y/g) * (x/g)^-1 mod m/g times the pivot's line.  Each step checks that
-    g divides gcd(y, m) for every entry y of the block.  If it does, the
-    pivot has the least valuation at every prime of m at once, so at each
-    prime the run is the local elimination, and by the Chinese remainder
-    theorem U @ A @ V = D mod m for some U and V invertible mod m, with the
-    gcd(d_i, m) a divisibility chain: the invariant factors of A over Z/m,
-    that is gcd(e_i, m) for the exact invariant factors e_i.  Only the
-    columns of V at the factor positions i, those with gcd(d_i, m) != 1,
-    are returned, with entries in [0, m), and None stands in place of U.
-    If some gcd(y, m) is not a multiple of g, two primes of m want their
-    pivots in different places, and ModulusSplit is raised with the part
-    of m on the primes where g has the higher valuation.
+    entry x with the least gcd(x, m) = g, ties broken as above.  Over a
+    local ring Z/p^N the entry of least valuation divides every other up to
+    a unit (Cohen, GTM 138, §2.4), so one pass clears the pivot's row and
+    column: an entry y goes with (y/g) * (x/g)^-1 mod m/g times the pivot's
+    line.  Each pivot's g must divide gcd(y, m) for every entry y of its
+    block; the entries left stay multiples of g, so only a step whose least
+    gcd grows checks this.  Then the pivot has the least valuation at every
+    prime of m at once, so at each prime the run is the local elimination,
+    and by the Chinese remainder theorem U @ A @ V = D mod m for some U and
+    V invertible mod m, with the gcd(d_i, m) a divisibility chain: the
+    invariant factors of A over Z/m, that is gcd(e_i, m) for the exact
+    invariant factors e_i.  Only the columns of V at the factor positions i,
+    those with gcd(d_i, m) != 1, are returned, with entries in [0, m), and
+    None stands in place of U.  If some gcd(y, m) is not a multiple of g,
+    two primes of m want their pivots in different places, and ModulusSplit
+    is raised with the part of m on the primes where g has the higher
+    valuation.
 
     No pivot reads U or V: the elimination records its operations and
     builds the transforms afterwards by replaying them.

@@ -315,6 +315,38 @@ class TestSmithNormalFormModular:
                     for p in sympy.primefactors(m):
                         assert columns.convert_to(sympy.GF(p)).rank() == len(factors)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+            lambda shape: st.lists(
+                st.lists(st.integers(-30, 30), min_size=shape[1], max_size=shape[1]),
+                min_size=shape[0],
+                max_size=shape[0],
+            )
+        ),
+        st.integers(1, 720),
+    )
+    def test_any_matrix_and_modulus_against_sympy(self, rows, m):
+        # rectangular and singular input, m no multiple of any determinant:
+        # a split names a coprime factor of m, and otherwise gcd(d_i, m) is
+        # gcd(e_i, m) for sympy's invariant factors e_i, zeros included
+        a = Matrix(rows)
+        try:
+            no_u, d, v = smith_normal_form(a, modulus=m)
+        except ModulusSplit as split:
+            assert 1 < split.factor < m and gcd(split.factor, m // split.factor) == 1
+            return
+        k = min(a.nrows, a.ncols)
+        exact = sympy_smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+        assert no_u is None
+        assert [gcd(d[i, i], m) for i in range(k)] == [gcd(int(exact[i, i]), m) for i in range(k)]
+        # a column past the last row has a zero diagonal entry
+        diagonal = [d[i, i] for i in range(k)] + [0] * (a.ncols - k)
+        factors = [f for f in (gcd(x, m) for x in diagonal) if f != 1]
+        assert v.ncols == len(factors)
+        for f, column in zip(factors, zip(*v.entries)):
+            assert all(x % f == 0 for x in a.mul_vec(column))
+
     def test_one_pass_by_hand(self):
         # [[2, 1], [1, 2]] mod 9: the unit 2 is the pivot, its inverse is 5,
         # row 1 -= 5 * row 0 leaves 2 - 5 = -3 = 6, and column 1 += 4 *
