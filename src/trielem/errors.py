@@ -72,8 +72,9 @@ class RankTooLarge(TrielemError):
 
 
 class GroupTooLarge(TrielemError):
-    """A discriminant group has more elements than an enumeration over it
-    may visit."""
+    """The Milgram check of a group that is not 3-elementary would sum over
+    more than MAX_GAUSS_ELEMENTS elements, or work in Z[zeta_m] for m above
+    MAX_GAUSS_MODULUS."""
 
 
 class SearchTooLarge(TrielemError):

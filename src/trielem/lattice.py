@@ -16,9 +16,11 @@ form, and in ``isometry`` whether an isometry acts trivially on the group.
 
 On a 3-elementary group, q is fixed by the F_3 normal form (s, det B mod 3)
 of B = 3*b on the generators (Nikulin 1979, §1; Conway-Sloane, SPLAG ch. 15),
-so the opposite-form match and the Gauss sum need no element list.  Other
-groups, such as the 2-elementary ones of D4, A1^8 and E7+A1^3, sum q over
-all |A| elements, up to MAX_GAUSS_ELEMENTS of them.
+so the opposite-form match compares determinants and Milgram's identity is
+a congruence mod 8 in sigma, s and det B mod 3: no element is listed and no
+cyclotomic field is built.  Other groups, such as the 2-elementary ones of
+D4, A1^8 and E7+A1^3, sum exp(pi*i*q) over all |A| elements in Z[zeta_m],
+up to MAX_GAUSS_ELEMENTS elements and m up to MAX_GAUSS_MODULUS.
 """
 
 from __future__ import annotations
@@ -261,7 +263,9 @@ class _QValues(Mapping):
         dims = self.group.invariant_factors
         if len(coeffs) != len(dims) or not all(0 <= c < d for c, d in zip(coeffs, dims)):
             raise KeyError(coeffs)
-        acc = sum(ci * cj * x for ci, row in zip(coeffs, self.pairs) for cj, x in zip(coeffs, row))
+        # a generator's value reads one pairing, not all s^2 of them
+        support = [i for i, c in enumerate(coeffs) if c]
+        acc = sum(coeffs[i] * coeffs[j] * self.pairs[i][j] for i in support for j in support)
         return Fraction(acc % (2 * self.e), self.e)
 
     def __iter__(self):
@@ -292,11 +296,11 @@ def discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
     return FiniteQuadraticForm(group, pairings, signature(lat.gram))
 
 
-def _quadratic_sum(m: int, p: int, c: int) -> Cyclotomic:
-    """The sum of zeta_p^(c*t*t) over t in F_p, in Z[zeta_m]."""
+def _quadratic_sum(m: int, p: int) -> Cyclotomic:
+    """The sum of zeta_p^(t*t) over t in F_p, in Z[zeta_m]."""
     terms = [0] * m
     for t in range(p):
-        terms[(c * t * t % p) * (m // p)] += 1
+        terms[(t * t % p) * (m // p)] += 1
     return Cyclotomic(m, terms)
 
 
@@ -320,7 +324,7 @@ def _sqrt_as_cyclotomic(n: int, m: int) -> Cyclotomic:
         if e % 2 and p == 2:
             out = out * (Cyclotomic.root(m, m // 8) + Cyclotomic.root(m, -(m // 8)))
         elif e % 2:
-            out = out * _quadratic_sum(m, p, 1)
+            out = out * _quadratic_sum(m, p)
             if p % 4 == 3:
                 out = out * Cyclotomic.root(m, -(m // 4))
         p += 1
@@ -328,49 +332,50 @@ def _sqrt_as_cyclotomic(n: int, m: int) -> Cyclotomic:
 
 
 def _gauss_sum(form: FiniteQuadraticForm, m: int) -> Cyclotomic:
-    """The sum of exp(pi*i*q(x)) over the group, in Z[zeta_m].
-
-    On (Z/3)^s, exp(pi*i*q(x)) = zeta_3^(B(x,x)/2), so over the normal form
-    diag(1, ..., 1, det B) the sum is a product of s three-term sums of
-    zeta_3^(2*a*t*t), t in F_3.  Other groups sum over every element.
-    """
-    if set(form.group.invariant_factors) != {3}:
-        terms = [0] * m
-        for val in form.q_values.values():
-            terms[val.numerator * (m // (2 * val.denominator))] += 1
-        return Cyclotomic(m, terms)
-    total = Cyclotomic.integer(m, 1)
-    for a in [1] * (form.group.s - 1) + [form._det_mod3]:
-        total = total * _quadratic_sum(m, 3, 2 * a)
-    return total
+    """The sum of exp(pi*i*q(x)) over every element of the group, in Z[zeta_m]."""
+    terms = [0] * m
+    for val in form.q_values.values():
+        terms[val.numerator * (m // (2 * val.denominator))] += 1
+    return Cyclotomic(m, terms)
 
 
 def milgram_holds(form: FiniteQuadraticForm) -> bool:
     """Gauss-sum consistency of the form with its lattice signature.
 
     The sum of exp(pi*i*q(x)) over the group must equal
-    sqrt(|A|) * exp(2*pi*i*sigma/8).  Both sides are evaluated in Z[zeta_m]
-    with m = lcm(8, 4e), e the group exponent, which contains every term
-    (m = 24 for 3-elementary forms), so the comparison is exact.  A group
-    that is not 3-elementary raises GroupTooLarge, before either side is
-    built, when it has more than MAX_GAUSS_ELEMENTS elements or m is above
-    MAX_GAUSS_MODULUS.
+    sqrt(|A|) * zeta_8^sigma, sigma = t_+ - t_-.
+
+    On (Z/3)^s, exp(pi*i*q(x)) = zeta_3^(B(x,x)/2) = zeta_3^(2*B(x,x)), and
+    over the normal form diag(1, ..., 1, delta) of B, delta = det B mod 3,
+    each factor sum_t zeta_3^(2*a*t*t) equals -(a/3)*i*sqrt(3).  So the sum
+    is sqrt(3^s) * zeta_8^(-2s) * (delta/3), and the identity holds iff
+    sigma + 2s + 4*[delta == 2] = 0 mod 8 (Nikulin 1979, §1).  A B that is
+    singular mod 3 (delta = 0) turns a factor into 3 and fails.  The
+    trivial group is the case s = 0, delta = 1.
+
+    Other groups sum over every element, with both sides in Z[zeta_m] for
+    m = lcm(8, 4e), e the group exponent, which contains every term, so the
+    comparison is exact.  Such a group raises GroupTooLarge, before either
+    side is built, when it has more than MAX_GAUSS_ELEMENTS elements or m
+    is above MAX_GAUSS_MODULUS.
     """
     plus, _, minus = form.lattice_signature
     group = form.group
-    e = max(group.invariant_factors, default=1)
+    if set(group.invariant_factors) <= {3}:
+        delta = form._det_mod3
+        return delta != 0 and (plus - minus + 2 * group.s + 4 * (delta == 2)) % 8 == 0
+    e = max(group.invariant_factors)
     m = lcm(8, 4 * e)
-    if set(group.invariant_factors) != {3}:
-        if group.order > MAX_GAUSS_ELEMENTS:
-            raise GroupTooLarge(
-                f"the Gauss sum of a group that is not 3-elementary runs over all "
-                f"{_brief(group.order)} elements, above the limit of {MAX_GAUSS_ELEMENTS}"
-            )
-        if m > MAX_GAUSS_MODULUS:
-            raise GroupTooLarge(
-                f"the Gauss sum of a group of exponent {e} is taken in the "
-                f"cyclotomic field of order {m}, above the limit of {MAX_GAUSS_MODULUS}"
-            )
+    if group.order > MAX_GAUSS_ELEMENTS:
+        raise GroupTooLarge(
+            f"the Gauss sum of a group that is not 3-elementary runs over all "
+            f"{_brief(group.order)} elements, above the limit of {MAX_GAUSS_ELEMENTS}"
+        )
+    if m > MAX_GAUSS_MODULUS:
+        raise GroupTooLarge(
+            f"the Gauss sum of a group of exponent {e} is taken in the "
+            f"cyclotomic field of order {m}, above the limit of {MAX_GAUSS_MODULUS}"
+        )
     rhs = _sqrt_as_cyclotomic(group.order, m)
     rhs = rhs * Cyclotomic.root(m, ((plus - minus) % 8) * (m // 8))
     return _gauss_sum(form, m) == rhs

@@ -4,10 +4,11 @@ Everything runs on Python ints and ``fractions.Fraction``: one fraction-free
 symmetric elimination gives both the determinant and the eigenvalue sign
 counts (Sylvester's law of inertia) of a symmetric integer matrix, and is
 run once per matrix; Bareiss elimination gives the determinant of any
-other square matrix.  Smith normal form runs exact, with Euclidean pivots
-and U and V built afterwards from its recorded steps, or modulo m, with
-least-valuation pivots and only the columns of V at the invariant factors;
-the exact one gives rational inverses too.  No floating point anywhere.
+other square matrix.  Smith normal form runs exact, one Euclidean loop per
+pivot position with U and V built afterwards from its recorded steps, or
+modulo m, with least-valuation pivots and only the columns of V at the
+invariant factors; the exact one gives rational inverses too.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -245,11 +246,12 @@ def smith_normal_form(a: Matrix, modulus: int = 0) -> tuple[Matrix | None, Matri
 
     With the default ``modulus`` 0 the arithmetic is exact: U and V are
     unimodular, and D is diagonal with nonnegative entries forming a
-    divisibility chain d1 | d2 | ...  Pivots are always the smallest
-    surviving |entry| (ties broken by lowest row, then column), which makes
-    the decomposition deterministic; a division remainder in the pivot's
-    row or column, or an entry of the block it does not divide, makes a
-    smaller pivot, and the step starts again.
+    divisibility chain d1 | d2 | ...  Each pivot position runs one loop:
+    the smallest surviving |entry| (ties broken by lowest row, then column)
+    becomes the positive corner pivot and clears its column, then its row,
+    with floor quotients; a remainder, or a row the pivot does not divide,
+    sends the loop back to pick again.  The fixed rule makes the
+    decomposition deterministic.
 
     With ``modulus`` m > 0 the elimination runs over Z/m, pivoting on the
     entry x with the least gcd(x, m) = g, ties broken as above.  Over a
@@ -283,76 +285,54 @@ def smith_normal_form(a: Matrix, modulus: int = 0) -> tuple[Matrix | None, Matri
         v = Matrix([[column[k] for column in columns] for k in range(nc)])
         return None, _diagonal(diag, nr, nc), v
 
-    def combine(row, other, c):
-        return [x + c * y for x, y in zip(row, other)]
-
     # (i, j, c) records "line i += c * line j", and (i, j, None) swaps them
     row_ops, col_ops = [], []
     # At step t, block[i][j] is entry (t+i, t+j) of the working matrix;
     # every entry outside the block and off the diagonal is already zero.
     block = [[int(x) for x in row] for row in a.entries]
     diag = []
-
-    def swap_rows(t, i):
-        block[0], block[i] = block[i], block[0]
-        row_ops.append((t, t + i, None))
-
-    def swap_cols(t, j):
-        for row in block:
-            row[0], row[j] = row[j], row[0]
-        col_ops.append((t, t + j, None))
-
     for t in range(min(nr, nc)):
-        # the smallest nonzero |entry|, in the lowest row, then column
-        best = min(filter(None, map(abs, chain.from_iterable(block))), default=None)
-        if best is None:
-            break
-        swap_rows(t, next(i for i, row in enumerate(block) if best in row or -best in row))
-        swap_cols(t, next(j for j, x in enumerate(block[0]) if abs(x) == best))
-        while True:
-            # Drive column 0 below the pivot and row 0 right of it to zero;
-            # a division remainder is strictly smaller than the pivot, so
-            # promoting it and starting again terminates.
+        # A round that does not finish leaves a remainder smaller than its
+        # pivot, or adds to row 0 a row the pivot does not divide, which
+        # leaves one next round: the pivot shrinks every round or two.
+        while pivot := min(filter(None, map(abs, chain.from_iterable(block))), default=0):
+            # the least nonzero |entry|, in the lowest row, then column
+            i = next(i for i, row in enumerate(block) if pivot in row or -pivot in row)
+            j = next(j for j, x in enumerate(block[i]) if abs(x) == pivot)
+            if i:
+                block[0], block[i] = block[i], block[0]
+                row_ops.append((t, t + i, None))
+            if j:
+                for row in block:
+                    row[0], row[j] = row[j], row[0]
+                col_ops.append((t, t + j, None))
             if block[0][0] < 0:
                 block[0] = [-x for x in block[0]]
                 row_ops.append((t, t, -2))  # row t += -2 * row t
-            row_t, pivot = block[0], block[0][0]
-            promoted = False
-            for i in range(1, len(block)):
-                if block[i][0]:
-                    c = -(block[i][0] // pivot)
-                    block[i] = combine(block[i], row_t, c)
-                    row_ops.append((t + i, t, c))
-                    if block[i][0]:
-                        swap_rows(t, i)
-                        promoted = True
-                        break
-            if promoted:
+            row_t = block[0]
+            for i, row in enumerate(block[1:], 1):
+                if c := row[0] // pivot:
+                    block[i] = [x - c * y for x, y in zip(row, row_t)]
+                    row_ops.append((t + i, t, -c))
+            if any(row[0] for row in block[1:]):
                 continue
             # column 0 is now zero off the pivot, so subtracting q times
             # column 0 from column j changes only row_t[j] in the block
             for j in range(1, len(row_t)):
-                if row_t[j]:
-                    q = row_t[j] // pivot
+                if q := row_t[j] // pivot:
                     row_t[j] -= q * pivot
                     col_ops.append((t + j, t, -q))
-                    if row_t[j]:
-                        swap_cols(t, j)
-                        promoted = True
-                        break
-            if promoted:
+            if any(row_t[1:]):
                 continue
-            # the pivot must divide the rest of the block; if it does not,
-            # adding an offending row to row 0 brings a remainder next round
-            if pivot == 1:
-                break
             offender = next(
-                (i for i in range(1, len(block)) if any(x % pivot for x in block[i])), None
+                (i for i, row in enumerate(block[1:], 1) if any(x % pivot for x in row)), None
             )
             if offender is None:
                 break
-            block[0] = combine(row_t, block[offender], 1)
+            block[0] = [x + y for x, y in zip(row_t, block[offender])]
             row_ops.append((t, t + offender, 1))
+        if not pivot:
+            break
         diag.append(pivot)
         block = [row[1:] for row in block[1:]]
     diag += [0] * max(nr, nc)

@@ -2,9 +2,10 @@
 
 ``reference_q_table`` is the element-by-element table the package built
 before it used the F_3 normal form: Fraction pairings of the coset
-generators, expanded over all 3^s group elements.  The lazy ``q_values``,
-the normal-form opposite-form match and the closed-form Gauss sum must all
-agree with it.
+generators, expanded over all 3^s group elements.  The lazy ``q_values``
+and the normal-form opposite-form match must agree with it, and Milgram's
+identity in closed form with the full Gauss sum over it in Z[zeta_24], at
+every signature.
 """
 
 from collections import Counter
@@ -14,11 +15,12 @@ from math import lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trielem.lattice
 from trielem.catalog import build, parse_expr
-from trielem.classify import enumerate_table1
+from trielem.classify import enumerate_table1, verify_pair
 from trielem.cyclotomic import Cyclotomic
 from trielem.lattice import (
-    _gauss_sum,
+    FiniteQuadraticForm,
     discriminant_form,
     discriminant_group,
     forms_match_opposite,
@@ -85,15 +87,40 @@ def full_gauss_sum(table, m) -> Cyclotomic:
     return total
 
 
+# sqrt(3) = 2*cos(pi/6) = zeta_12 + zeta_12^-1
+SQRT3 = Cyclotomic.root(24, 2) + Cyclotomic.root(24, -2)
+
+
+def milgram_rhs(s, sigma) -> Cyclotomic:
+    """sqrt(3^s) * zeta_8^sigma in Z[zeta_24]."""
+    rhs = Cyclotomic.root(24, 3 * sigma) * 3 ** (s // 2)
+    return rhs * SQRT3 if s % 2 else rhs
+
+
+def check_milgram_shifts(form, table):
+    """milgram_holds against the full Gauss sum over the table, at the
+    form's signature shifted by each of 0..7; only the form's own passes."""
+    plus, zero, minus = form.lattice_signature
+    total = full_gauss_sum(table, 24)
+    passing = []
+    for k in range(8):
+        shifted = FiniteQuadraticForm(form.group, form.pairings, (plus + k, zero, minus))
+        expected = total == milgram_rhs(form.group.s, plus + k - minus)
+        assert milgram_holds(shifted) == expected, k
+        passing += [k] * expected
+    assert passing == [0]
+
+
 def check_against_reference(lat):
     form = discriminant_form(lat)
     table = reference_q_table(lat)
     assert len(form.q_values) == len(table) == form.group.order
     assert form.q_values == table
-    assert _gauss_sum(form, 24) == full_gauss_sum(table, 24)
-    assert milgram_holds(form)
-    negated = rescale(lat, -1)
-    assert forms_match_opposite(form, discriminant_form(negated))
+    check_milgram_shifts(form, table)
+    negated = discriminant_form(rescale(lat, -1))
+    assert forms_match_opposite(form, negated)
+    # the Gauss sum reads only the multiset of values, negated on -L
+    check_milgram_shifts(negated, {x: (-v) % 2 for x, v in table.items()})
     return form, table
 
 
@@ -147,3 +174,31 @@ def test_two_elementary_groups_keep_the_full_sum():
         assert set(form.group.invariant_factors) == {2}
         assert len(list(form.q_values.items())) == form.group.order
         assert milgram_holds(form), name
+
+
+def test_singular_form_fails_at_every_signature():
+    # B = diag(2, 0) on (Z/3)^2 is singular mod 3: one factor of the sum is
+    # 3, so it is 3*sqrt(3) in absolute value and never sqrt(3^2) * zeta_8^k
+    group = discriminant_form(parse_expr("U(3)")).group
+    for k in range(8):
+        forged = FiniteQuadraticForm(group, ((2, 0), (0, 0)), (k, 0, 0))
+        assert forged._det_mod3 == 0
+        assert full_gauss_sum(dict(forged.q_values.items()), 24) != milgram_rhs(2, k)
+        assert not milgram_holds(forged), k
+
+
+def test_table1_pairs_build_no_cyclotomic(monkeypatch):
+    # every table-1 group is 3-elementary or trivial, so the closed form
+    # answers both Milgram checks of each pair
+    class Unbuilt:
+        def __call__(self, *args):
+            raise AssertionError("a cyclotomic number was built")
+
+        __getattr__ = __call__
+
+    monkeypatch.setattr(trielem.lattice, "Cyclotomic", Unbuilt())
+    pairs = [pair for pair in enumerate_table1() if pair.exists]
+    assert len(pairs) == 31
+    for pair in pairs:
+        report = verify_pair(pair.S, pair.T)
+        assert report.ok, (pair.rho, pair.s, report.failures())

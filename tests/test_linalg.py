@@ -154,6 +154,21 @@ def symmetric_matrices(draw, kinds=("dense", "zero_diagonal", "low_rank", "block
     return Matrix(rows)
 
 
+def products(shape):
+    """r x c matrices L R with L of size r x k: singular when k < min(r, c),
+    and zero when k = 0."""
+    r, c, k = shape
+    entries = st.integers(-6, 6)
+    return st.tuples(
+        st.lists(st.lists(entries, min_size=k, max_size=k), min_size=r, max_size=r),
+        st.lists(st.lists(entries, min_size=c, max_size=c), min_size=k, max_size=k),
+    ).map(
+        lambda f: [
+            [sum(f[0][i][t] * f[1][t][j] for t in range(k)) for j in range(c)] for i in range(r)
+        ]
+    )
+
+
 class TestSmithNormalForm:
     def test_a2_gram(self):
         a = Matrix([[-2, 1], [1, -2]])
@@ -210,6 +225,18 @@ class TestSmithNormalForm:
         first = smith_normal_form(a)
         second = smith_normal_form(a)
         assert first == second
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 6)).flatmap(products))
+    @example([[0, 0, 0], [0, 0, 0]])
+    def test_any_shape_against_sympy(self, rows):
+        a = Matrix(rows)
+        u, d, v = smith_normal_form(a)
+        expected = sympy_smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+        assert d == Matrix(abs(expected).tolist())
+        assert u @ a @ v == d
+        assert abs(determinant(u)) == abs(determinant(v)) == 1
+        assert smith_normal_form(a) == (u, d, v)
 
 
 def sympy_invariant_factors(a: Matrix) -> tuple[int, ...]:
