@@ -4,15 +4,19 @@ discriminant quadratic forms, and the Gauss-sum consistency identity.
 A lattice here is a free Z-module carrying a symmetric integer Gram matrix.
 When the form is nondegenerate the lattice sits inside its dual with finite
 quotient; that quotient, together with the induced Q/2Z-valued quadratic
-form on it, is the invariant the classification machinery matches.  The
-quotient comes from a Smith normal form of the Gram matrix modulo b^2 for
-b = |det|, which pivots on the entry of least valuation and so clears
-each row and column in one pass; its cost does not depend on how dense
-the basis is.  A run that separates two primes of b splits b into coprime
-parts, each run on its own and joined by the Chinese remainder theorem.
-The columns of V at the factors give each generator g_i as the integer
-lift W_i = d_i * g_i, and everything else is read off the lifts: the
-form, and in ``isometry`` whether an isometry acts trivially on the group.
+form on it, is the invariant the classification machinery matches.  A
+Gram matrix that is an orthogonal sum of blocks has the sum of their
+quotients, so each distinct block is worked out once and the blocks'
+cyclic factors are joined by the Chinese remainder theorem over a coprime
+base of their orders; generators therefore go block by block.  A single
+block's quotient comes from a Smith normal form of its Gram matrix modulo
+b^2 for b = |det|, which pivots on the entry of least valuation and so
+clears each row and column in one pass; its cost does not depend on how
+dense the basis is.  A run that separates two primes of b splits b into
+coprime parts, each run on its own and joined the same way.  The columns
+of V at the factors give each generator g_i as the integer lift
+W_i = d_i * g_i, and everything else is read off the lifts: the form, and
+in ``isometry`` whether an isometry acts trivially on the group.
 
 On a 3-elementary group, q is fixed by the F_3 normal form (s, det B mod 3)
 of B = 3*b on the generators (Nikulin 1979, §1; Conway-Sloane, SPLAG ch. 15),
@@ -29,7 +33,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, product
+from itertools import chain, combinations, product
 from math import gcd, lcm
 from operator import mul
 
@@ -46,6 +50,8 @@ from .errors import (
 from .linalg import (
     Matrix,
     ModulusSplit,
+    _orthogonal_blocks,
+    _part_on_primes_of,
     block_diagonal,
     determinant,
     signature,
@@ -160,9 +166,13 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     """Invariant factors and generators of (dual)/(lattice), the generators
     as integer lifts.
 
-    G maps L* onto Z^n, so A_L = Z^n / G Z^n, the direct sum of its parts
-    A_b of order b over coprime factors b of D = |det G|, each b holding
-    all of D at its primes.  Starting from b = D, the Smith normal form of
+    G maps L* onto Z^n, so A_L = Z^n / G Z^n.  An orthogonal sum of blocks
+    (``linalg._orthogonal_blocks``) has A_L the sum of its blocks' groups
+    (Nikulin 1979, §1): each block's group is looked up by its Gram matrix,
+    so equal blocks are worked out once, and its lifts are put at the
+    block's coordinates.  A single block is the sum of its parts A_b of
+    order b over coprime factors b of D = |det G|, each b holding all of D
+    at its primes.  Starting from b = D, the Smith normal form of
     G runs modulo m = b^2, so no entry outgrows m however dense the basis:
     U @ G @ V = diag(c) mod m, and as b divides m the factor for c_i is
     d_i = gcd(c_i, m), a divisor of b.  The generator for d_i is
@@ -173,19 +183,69 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     mod d_j, maps g_i to e_i, so the g_i are independent of orders d_i and
     generate A_b.  (With m = b, a prime of d_i could divide c_i / d_i,
     which then has no inverse.)  U itself is never built: the Smith normal
-    form returns only the columns of V at the factor positions.
+    form returns only the columns of V at the factor positions.  When the
+    elimination separates two primes of b (ModulusSplit), b splits into
+    coprime parts and each runs again modulo its square; a prime-power D
+    takes one run.
 
-    When the elimination separates two primes of b (ModulusSplit), b splits
-    into coprime parts and each runs again modulo its square; a prime-power
-    D takes one run.  The chains of the parts are aligned at their largest
-    factors, and the factor d = prod d_p of a merged position gets the lift
-    W = sum (d / d_p) * W_p mod d: g = sum g_p has order d, and (d / d_p) * g
-    is a unit times g_p, so the merged g generate A_L.
+    Both cases end in one join over pairwise coprime moduli b.  A block's
+    factors are not coprime to one another's, so each cyclic factor (d, W)
+    is first split over a coprime base of all of them: its b-part d_b is
+    generated by (d / d_b) * g, whose lift is W mod d_b, as
+    d_b * ((d / d_b) * g) = W.  Every factor is a product of powers of the
+    base, so sorting the b-parts sorts their parts at each prime of b
+    alike; ties keep block order.  The parts of a single block are already
+    one chain per coprime b.  The chains are aligned at their largest
+    factors, and the factor d = prod d_b of a merged position gets the lift
+    W = sum (d / d_b) * W_b mod d: g = sum g_b has order d, and
+    (d / d_b) * g is a unit times g_b, so the merged g generate A_L.
     """
-    g = lat.gram
+    return _group_of_gram(lat.gram)
+
+
+@lru_cache(maxsize=None)
+def _group_of_gram(g: Matrix) -> DiscriminantGroup:
+    """``discriminant_group`` of the lattice with Gram matrix g, cached by g
+    alone, so equal blocks of any lattices share one entry whatever the
+    lattices are named."""
     det = abs(determinant(g))
     if det == 0:
         raise Degenerate("lattice is degenerate")
+    blocks = _orthogonal_blocks(g)
+    chains = _block_chains(g.nrows, blocks) if blocks else _part_chains(g, det)
+    factors, lifts = [], []
+    for k in range(max(map(len, chains), default=0), 0, -1):
+        (f, w), *others = [chain[-k] for chain in chains if len(chain) >= k]
+        for fp, wp in others:
+            w = [(fp * x + f * y) % (f * fp) for x, y in zip(w, wp)]
+            f *= fp
+        factors.append(f)
+        lifts.append(tuple(w))
+    return DiscriminantGroup(invariant_factors=tuple(factors), lifts=tuple(lifts), order=det)
+
+
+def _block_chains(n: int, blocks) -> list[list[tuple[int, list[int]]]]:
+    """One ascending chain of (d_b, lift) per element b of a coprime base
+    of the blocks' invariant factors, lifts at the blocks' coordinates."""
+    cyclic = []
+    for indices, block in blocks:
+        group = _group_of_gram(block)
+        for d, w in zip(group.invariant_factors, group.lifts):
+            lift = [0] * n
+            for i, x in zip(indices, w):
+                lift[i] = x
+            cyclic.append((d, lift))
+    chains = []
+    for b in _coprime_base([d for d, _ in cyclic]):
+        parts = [(_part_on_primes_of(d, b), w) for d, w in cyclic]
+        parts = [(db, [x % db for x in w]) for db, w in parts if db > 1]
+        chains.append(sorted(parts, key=lambda part: part[0]))
+    return chains
+
+
+def _part_chains(g: Matrix, det: int) -> list[list[tuple[int, list[int]]]]:
+    """One ascending chain of (d_i, W_i) per coprime part b of det, from
+    the Smith normal form of g modulo b^2."""
     parts, chains = [det], []
     while parts:
         b = parts.pop()
@@ -196,22 +256,27 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
             first = gcd(b, split.factor)
             parts += [first, b // first]
             continue
-        pivots = [d[i, i] for i in range(lat.rank) if gcd(d[i, i], m) > 1]
+        pivots = [d[i, i] for i in range(g.nrows) if gcd(d[i, i], m) > 1]
         chain = []
         for c, column in zip(pivots, zip(*v.entries)):
             f = gcd(c, m)
             unit = pow(c // f, -1, f)
             chain.append((f, [unit * x % f for x in column]))
         chains.append(chain)
-    factors, lifts = [], []
-    for k in range(max(map(len, chains)), 0, -1):
-        (f, w), *others = [chain[-k] for chain in chains if len(chain) >= k]
-        for fp, wp in others:
-            w = [(fp * x + f * y) % (f * fp) for x, y in zip(w, wp)]
-            f *= fp
-        factors.append(f)
-        lifts.append(tuple(w))
-    return DiscriminantGroup(invariant_factors=tuple(factors), lifts=tuple(lifts), order=det)
+    return chains
+
+
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime integers above 1, ascending, of which every one of
+    ``numbers`` is a product of powers: a pair a, b with g = gcd(a, b) > 1
+    is replaced by a / g, g and b / g until none is left, which keeps every
+    number such a product and lowers the product of the set each time."""
+    base = set(numbers) - {1}
+    while pair := next(((a, b) for a, b in combinations(sorted(base), 2) if gcd(a, b) > 1), None):
+        a, b = pair
+        g = gcd(a, b)
+        base = (base - {a, b} | {a // g, g, b // g}) - {1}
+    return sorted(base)
 
 
 def is_p_elementary(lat: Lattice, p: int) -> bool:

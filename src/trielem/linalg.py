@@ -2,21 +2,23 @@
 
 Everything runs on Python ints and ``fractions.Fraction``: one fraction-free
 symmetric elimination gives both the determinant and the eigenvalue sign
-counts (Sylvester's law of inertia) of a symmetric integer matrix, and is
-run once per matrix; Bareiss elimination gives the determinant of any
-other square matrix.  Smith normal form runs exact, one Euclidean loop per
-pivot position with U and V built afterwards from its recorded steps, or
-modulo m, with least-valuation pivots and only the columns of V at the
-invariant factors; the exact one gives rational inverses too.  No floating
-point anywhere.
+counts (Sylvester's law of inertia) of a symmetric integer matrix.  A
+matrix that is an orthogonal sum, the connected components of its nonzero
+pattern, is eliminated block by block, each distinct block once, and the
+sign counts add while the determinants multiply; Bareiss elimination gives
+the determinant of any other square matrix.  Smith normal form runs exact,
+one Euclidean loop per pivot position with U and V built afterwards from
+its recorded steps, or modulo m, with least-valuation pivots and only the
+columns of V at the invariant factors; the exact one gives rational
+inverses too.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
-from math import gcd, lcm
+from itertools import chain, compress, repeat
+from math import gcd, lcm, prod
 from operator import mod, mul
 from typing import Sequence
 
@@ -24,17 +26,17 @@ from .errors import NotSymmetric, SingularMatrix
 
 
 class Matrix:
-    """Immutable dense matrix with int or Fraction entries; caches its hash
-    and its symmetry and integrality tests."""
+    """Immutable dense matrix with int or Fraction entries; caches its hash,
+    its symmetry and integrality tests, and its orthogonal blocks."""
 
-    __slots__ = ("entries", "_hash", "_symmetric", "_integral")
+    __slots__ = ("entries", "_hash", "_symmetric", "_integral", "_blocks")
 
     def __init__(self, rows: Sequence[Sequence]):
         entries = tuple(tuple(row) for row in rows)
         if entries and any(len(row) != len(entries[0]) for row in entries):
             raise ValueError("matrix rows have unequal lengths")
         self.entries = entries
-        self._hash = self._symmetric = self._integral = None
+        self._hash = self._symmetric = self._integral = self._blocks = None
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -114,6 +116,49 @@ def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
         left = len(rows)
         rows += [[0] * left + list(row) + [0] * (n - left - b.nrows) for row in b.entries]
     return Matrix(rows)
+
+
+def _orthogonal_blocks(g: Matrix) -> tuple[tuple[list[int], Matrix], ...]:
+    """The orthogonal summands of a symmetric matrix, as (indices, principal
+    submatrix on them): the connected components of its nonzero pattern,
+    ordered by least index; () when there are fewer than two.  Computed
+    once per matrix.
+
+    A component grows from its least index, each index reached reading the
+    nonzero entries of its row, and the search stops once every index is
+    reached, so a dense matrix costs one row; a row 0 with no zero off the
+    diagonal, as in most dense bases, settles it with one count.
+    """
+    if g._blocks is None:
+        g._blocks = ()
+        rows = g.entries
+        n = left = len(rows)
+        if n and rows[0].count(0) == (rows[0][0] == 0):
+            return g._blocks
+        reached = bytearray(n)
+        blocks = []
+        for first in range(n):
+            if not left:
+                break
+            if reached[first]:
+                continue
+            reached[first] = 1
+            left -= 1
+            block = [first]
+            for i in block:  # grows while it is read
+                if not left:
+                    break
+                for j in compress(range(n), rows[i]):
+                    if not reached[j]:
+                        reached[j] = 1
+                        left -= 1
+                        block.append(j)
+            blocks.append(sorted(block))
+        if len(blocks) > 1:
+            g._blocks = tuple(
+                (block, Matrix([[rows[i][j] for j in block] for i in block])) for block in blocks
+            )
+    return g._blocks
 
 
 def pair_value(g: Matrix, x: Sequence, y: Sequence):
@@ -449,10 +494,17 @@ def signature(g: Matrix) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=None)
 def _signature_and_determinant(g: Matrix) -> tuple[tuple[int, int, int], int]:
-    """The signature and the determinant of a symmetric integer matrix, from
-    one ``symmetric_elimination``.  Its repairs and radical swaps are
+    """The signature and the determinant of a symmetric integer matrix.
+
+    An orthogonal sum of several blocks sums the signatures of its blocks
+    and multiplies their determinants, each block looked up here, so equal
+    blocks are eliminated once.  A single block takes one
+    ``symmetric_elimination``: its repairs and radical swaps are
     congruences by matrices of determinant +-1, so det g is the last leading
     minor D_n when no direction is radical, and 0 when one is."""
+    if blocks := _orthogonal_blocks(g):
+        parts = [_signature_and_determinant(block) for _, block in blocks]
+        return tuple(map(sum, zip(*(sig for sig, _ in parts)))), prod(det for _, det in parts)
     rows, rank = symmetric_elimination(g)
     minors = [1] + [rows[k][k] for k in range(rank)]
     minus = sum(1 for x, y in zip(minors, minors[1:]) if (x > 0) != (y > 0))

@@ -13,9 +13,11 @@ Gram matrix G and P = L U, with L and U unit triangular and off-diagonal
 entries drawn from {-1, 0, 1} (``random.Random(9)``).  On each of them the
 generators of the discriminant group differ from those of the canonical
 basis.  The recorded ``q_on_generators`` pins the generators that the
-least-valuation elimination of the modular Smith normal form picks, and,
-on a determinant of several primes, their Chinese remainder joins; it is
-not an invariant of the lattice.
+discriminant group picks: block by block on an orthogonal sum, such as
+every canonical table-1 lattice, and within a block those of the
+least-valuation elimination of the modular Smith normal form, with, on a
+determinant of several primes, their Chinese remainder joins; it is not
+an invariant of the lattice.
 
 After a deliberate change of output, regenerate the golden file with
 
